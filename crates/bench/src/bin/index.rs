@@ -20,8 +20,8 @@
 use tsvr_bench::harness::Bencher;
 use tsvr_bench::PAPER_SEED;
 use tsvr_core::{
-    bags_from_dataset, build_index, bundle_from_clip, heuristic_topk, load_index, prepare_clip,
-    ClipWindows, PipelineOptions,
+    bags_from_dataset, build_index, bundle_from_clip, load_index, prepare_clip, rank_topk,
+    ClipWindows, PipelineOptions, Scorer, ShardWindows,
 };
 use tsvr_obs::json::Json;
 use tsvr_sim::Scenario;
@@ -65,11 +65,11 @@ fn main() {
     build_index(&mut db, 1, &clip.dataset).expect("store index");
 
     let rank = |dataset: &tsvr_trajectory::Dataset| {
-        let clips = [ClipWindows {
+        let clips = vec![ClipWindows {
             clip_id: 1,
             bags: bags_from_dataset(dataset),
         }];
-        heuristic_topk(&clips, TOP_K)
+        rank_topk(&[ShardWindows { shard: "-".into(), clips }], Scorer::Heuristic, TOP_K)
     };
 
     let mut b = Bencher::new("index");

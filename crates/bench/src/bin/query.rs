@@ -27,20 +27,20 @@
 use std::time::Instant;
 use tsvr_bench::harness::Bencher;
 use tsvr_core::{
-    bags_from_bundle, build_index, bundle_from_clip, dataset_from_bundle, heuristic_topk,
-    parse_query, prepare_clip, ClipWindows, PipelineOptions, Planner, Query, RankedWindow, Scorer,
-    NOMINAL_FPS,
+    bags_from_bundle, build_index, bundle_from_clip, dataset_from_bundle, parse_query,
+    prepare_clip, rank_topk, ClipWindows, PipelineOptions, Planner, Query, RankedWindow, Scorer,
+    ShardWindows, NOMINAL_FPS,
 };
 use tsvr_obs::json::Json;
 use tsvr_sim::Scenario;
 use tsvr_trajectory::WindowConfig;
-use tsvr_viddb::{AnyDb, ClipMeta, ShardedDb};
+use tsvr_viddb::{ClipMeta, ShardedDb};
 
 const BUCKET_SECS: u64 = 3600;
 
 /// Builds the archive: `cameras × buckets` clips, one per shard cell,
 /// each a full pipeline run with its own seed, plus TSIX indexes.
-fn build_archive(dir: &std::path::Path, cameras: u64, buckets: u64) -> AnyDb {
+fn build_archive(dir: &std::path::Path, cameras: u64, buckets: u64) -> ShardedDb {
     let _ = std::fs::remove_dir_all(dir);
     let mut db = ShardedDb::open_with_bucket(dir, BUCKET_SECS).expect("open sharded db");
     let mut clip_id = 1u64;
@@ -73,7 +73,7 @@ fn build_archive(dir: &std::path::Path, cameras: u64, buckets: u64) -> AnyDb {
         }
     }
     db.sync().expect("sync");
-    db.into()
+    db
 }
 
 /// Independent re-implementation of the bench predicates, used to
@@ -122,7 +122,7 @@ impl RefFilter {
 /// Full scan, post-filtered: rank *every* window of every clip through
 /// the same canonical bag construction and heuristic scorer, then drop
 /// windows the reference filter rejects and take the top k.
-fn post_filtered_full_scan(db: &mut AnyDb, filter: &RefFilter, k: usize) -> Vec<RankedWindow> {
+fn post_filtered_full_scan(db: &mut ShardedDb, filter: &RefFilter, k: usize) -> Vec<RankedWindow> {
     let metas: Vec<ClipMeta> = db.list_clips().into_iter().cloned().collect();
     let mut flat = Vec::new();
     for meta in &metas {
@@ -133,7 +133,8 @@ fn post_filtered_full_scan(db: &mut AnyDb, filter: &RefFilter, k: usize) -> Vec<
         });
     }
     let total: usize = flat.iter().map(|c| c.bags.len()).sum();
-    let everything = heuristic_topk(&flat, total);
+    let everything =
+        rank_topk(&[ShardWindows { shard: "all".into(), clips: flat }], Scorer::Heuristic, total);
     let mut kept = Vec::new();
     for r in everything {
         let meta = metas.iter().find(|m| m.clip_id == r.clip_id).unwrap();
@@ -157,7 +158,7 @@ fn rankings_equal(a: &[RankedWindow], b: &[RankedWindow]) -> bool {
         })
 }
 
-fn run_planned(db: &mut AnyDb, query: &Query, k: usize) -> tsvr_core::PlanOutcome {
+fn run_planned(db: &mut ShardedDb, query: &Query, k: usize) -> tsvr_core::PlanOutcome {
     Planner::new(k).run(db, query, Scorer::Heuristic).expect("plan")
 }
 

@@ -35,10 +35,9 @@
 use std::collections::HashMap;
 
 use tsvr_core::{
-    bags_from_dataset, bundle_from_clip, dataset_from_segment, heuristic_topk,
-    labels_from_bundle, prepare_sim, segment_from_dataset, sharded_heuristic_topk, ClipArtifacts,
-    ClipWindows, EventQuery, LearnerKind, MultiClipIndex, PipelineOptions, RankedWindow,
-    ShardWindows,
+    bags_from_dataset, bundle_from_clip, dataset_from_segment, labels_from_bundle, prepare_sim,
+    rank_topk, segment_from_dataset, ClipArtifacts, ClipWindows, EventQuery, LearnerKind,
+    MultiClipIndex, PipelineOptions, RankedWindow, Scorer, ShardWindows,
 };
 use tsvr_mil::metrics::{accuracy_ceiling, average_precision, precision_at};
 use tsvr_mil::oracle::NoisyOracle;
@@ -115,6 +114,12 @@ struct PreparedRow {
     last_shard: String,
 }
 
+/// Every clip of `shards` in one shard: the reference partition.
+fn one_shard(shards: &[ShardWindows]) -> Vec<ShardWindows> {
+    let clips = shards.iter().flat_map(|s| s.clips.clone()).collect();
+    vec![ShardWindows { shard: "all".into(), clips }]
+}
+
 fn meta_for(clip_id: u64, camera: usize, clip: &ClipArtifacts, name: &str) -> ClipMeta {
     ClipMeta {
         clip_id,
@@ -188,7 +193,7 @@ fn prepare_row(row: &Row, fast: bool) -> PreparedRow {
     // Reload every clip through its stored feature index — the served
     // path — and check it reproduces the cold extraction bit for bit.
     let mut parts = Vec::new();
-    let mut by_shard: Vec<(String, ClipWindows)> = Vec::new();
+    let mut clip_windows = Vec::new();
     let mut index_served_identical = true;
     for (i, clip) in clips.iter().enumerate() {
         let clip_id = i as u64 + 1;
@@ -201,24 +206,14 @@ fn prepare_row(row: &Row, fast: bool) -> PreparedRow {
         index_served_identical &= bags == clip.bags;
         let bundle = db.load_clip(clip_id).expect("load_clip");
         let labels = labels_from_bundle(&bundle, &query);
-        let shard = db
-            .shard_of_clip(clip_id)
-            .expect("clip routed")
-            .to_string();
-        by_shard.push((shard, ClipWindows { clip_id, bags: bags.clone() }));
+        clip_windows.push(ClipWindows { clip_id, bags: bags.clone() });
         parts.push((clip_id, bags, labels));
     }
-    let last_shard = by_shard.last().expect("at least one clip").0.clone();
-
-    // Group clips into their actual shards, in shard order.
-    let mut shards: Vec<ShardWindows> = Vec::new();
-    by_shard.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.clip_id.cmp(&b.1.clip_id)));
-    for (shard, cw) in by_shard {
-        match shards.last_mut() {
-            Some(s) if s.shard == shard => s.clips.push(cw),
-            _ => shards.push(ShardWindows { shard, clips: vec![cw] }),
-        }
-    }
+    let last_shard = db
+        .shard_of_clip(clips.len() as u64)
+        .expect("clip routed")
+        .to_string();
+    let shards = ShardWindows::group(&db, clip_windows).expect("clips routed");
 
     let index = MultiClipIndex::from_parts(parts);
     let origin_of = index
@@ -371,25 +366,20 @@ fn main() {
                 row.name
             );
             let before = tsvr_obs::counter!("query.scatter.shards").get();
-            let ranked = sharded_heuristic_topk(&row.shards, k);
+            let ranked = rank_topk(&row.shards, Scorer::Heuristic, k);
             if tsvr_obs::is_enabled() {
                 let delta = tsvr_obs::counter!("query.scatter.shards").get() - before;
                 handoff_scatter_ok &= delta == row.shards.len() as u64;
             }
-            // Byte-identity of the scatter-gather vs the flat path.
-            let flat: Vec<ClipWindows> = row
-                .shards
-                .iter()
-                .flat_map(|s| s.clips.clone())
-                .collect();
-            let flat_ranked = heuristic_topk(&flat, k);
+            // Byte-identity of the scatter-gather vs the one-shard path.
+            let flat_ranked = rank_topk(&one_shard(&row.shards), Scorer::Heuristic, k);
             handoff_scatter_ok &= ranked.len() == flat_ranked.len()
                 && ranked.iter().zip(&flat_ranked).all(|(a, b)| {
                     a.score.to_bits() == b.score.to_bits()
                         && (a.clip_id, a.window_index) == (b.clip_id, b.window_index)
                 });
         }
-        let ranked = sharded_heuristic_topk(&row.shards, k);
+        let ranked = rank_topk(&row.shards, Scorer::Heuristic, k);
         let (p20, ap) = score(&ranking_of(&ranked, &row), &row.index.labels);
         cells.push(Cell {
             scenario: row.name,
@@ -455,10 +445,8 @@ fn main() {
                 .filter(|s| s.shard != row.last_shard)
                 .cloned()
                 .collect();
-            let served = sharded_heuristic_topk(&healthy, k);
-            let flat: Vec<ClipWindows> =
-                healthy.iter().flat_map(|s| s.clips.clone()).collect();
-            let flat_ranked = heuristic_topk(&flat, k);
+            let served = rank_topk(&healthy, Scorer::Heuristic, k);
+            let flat_ranked = rank_topk(&one_shard(&healthy), Scorer::Heuristic, k);
             let degraded_ok = quarantined.len() == 1
                 && quarantined[0].0 == row.last_shard
                 && db.load_index(1).expect("healthy shard serves").is_some()

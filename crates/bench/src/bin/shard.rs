@@ -25,7 +25,7 @@
 //! single-batch smoke mode (used by `scripts/ci.sh`).
 
 use tsvr_bench::harness::Bencher;
-use tsvr_core::{heuristic_topk, sharded_heuristic_topk, ClipWindows, ShardWindows};
+use tsvr_core::{rank_topk, ClipWindows, Scorer, ShardWindows};
 use tsvr_mil::{Bag, Instance};
 use tsvr_obs::json::Json;
 use tsvr_viddb::codec::Writer;
@@ -181,11 +181,12 @@ fn main() {
     );
 
     // ---- byte-identity (the determinism acceptance bar) ----------------
-    let single = heuristic_topk(&flat, k);
+    let one_shard = [ShardWindows { shard: "all".into(), clips: flat }];
+    let single = rank_topk(&one_shard, Scorer::Heuristic, k);
     tsvr_par::set_threads(1);
-    let ranked_1 = sharded_heuristic_topk(&shards, k);
+    let ranked_1 = rank_topk(&shards, Scorer::Heuristic, k);
     tsvr_par::set_threads(many);
-    let ranked_n = sharded_heuristic_topk(&shards, k);
+    let ranked_n = rank_topk(&shards, Scorer::Heuristic, k);
     let byte_identical =
         rankings_equal(&single, &ranked_1) && rankings_equal(&ranked_1, &ranked_n);
     assert!(
@@ -197,11 +198,11 @@ fn main() {
     let mut b = Bencher::new("shard");
     tsvr_par::set_threads(1);
     let q1 = b
-        .bench("sharded_topk/threads_1", || sharded_heuristic_topk(&shards, k))
+        .bench("sharded_topk/threads_1", || rank_topk(&shards, Scorer::Heuristic, k))
         .ns_per_iter;
     tsvr_par::set_threads(many);
     let qn = b
-        .bench("sharded_topk/threads_n", || sharded_heuristic_topk(&shards, k))
+        .bench("sharded_topk/threads_n", || rank_topk(&shards, Scorer::Heuristic, k))
         .ns_per_iter;
     tsvr_par::set_threads(0); // restore env/auto selection
     let speedup = q1 / qn;
@@ -264,7 +265,7 @@ fn main() {
     let pass = speedup >= target && byte_identical && ratio > 1.0;
     let note = format!(
         "{} ({pass_rule}): sharded top-k {speedup:.2}x (target {target}x) on {available} \
-         hardware thread(s); rankings byte-identical at 1/{many} threads and vs flat path; \
+         hardware thread(s); rankings byte-identical at 1/{many} threads and vs one-shard path; \
          compression {ratio:.2}x bit-exact",
         if pass { "PASS" } else { "FAIL" }
     );

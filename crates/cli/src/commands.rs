@@ -10,7 +10,7 @@ use tsvr_mil::{GroundTruthOracle, Normalization, Oracle, RetrievalSession, Sessi
 use tsvr_sim::Scenario;
 use tsvr_trajectory::checkpoint::FeatureConfig;
 use tsvr_trajectory::{Dataset, WindowConfig};
-use tsvr_viddb::{AnyDb, ClipMeta, FrameCodec, SessionRow, VideoDb};
+use tsvr_viddb::{ClipMeta, FrameCodec, SessionRow, ShardedDb, VideoDb};
 
 const USAGE: &str = "usage: tsvr <command> [--flag value ...]
 
@@ -66,10 +66,9 @@ commands:
   slowlog    --addr H:P   (span trees of requests that exceeded the
              server's --slowlog-ms threshold)
 
---db F accepts a single-file database or a sharded database directory
-(detected automatically). Pass --sharded on the command that creates a
-new database to lay it out as a directory of per-(camera, hour) shard
-logs; verify and compact then report and rewrite per shard.
+--db F names a database directory of per-(camera, hour) shard logs,
+created if absent; an existing single-file database opens in place as
+one shard named \"-\". verify and compact report and rewrite per shard.
 
 every command also accepts --metrics-out FILE to dump the process's
 span timings and counters as JSON on exit, and --threads N to size the
@@ -165,8 +164,8 @@ fn demo(args: &Args) -> Result<(), String> {
         height: clip.sim.height,
     };
     let mut db = match args.get("db") {
-        Some(path) => VideoDb::open(Path::new(path)).map_err(|e| format!("open {path}: {e}"))?,
-        None => VideoDb::in_memory(),
+        Some(_) => open_db(args)?,
+        None => VideoDb::in_memory().into(),
     };
     db.put_clip(&bundle_from_clip(&clip, meta))
         .map_err(|e| e.to_string())?;
@@ -294,16 +293,12 @@ fn slowlog_cmd(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Opens `--db`: an existing directory (or a fresh one under
-/// `--sharded`) is a [`tsvr_viddb::ShardedDb`]; anything else is the
-/// classic single-file database, created if absent.
-fn open_db(args: &Args) -> Result<AnyDb, String> {
+/// Opens `--db` (see [`ShardedDb::open`]): an existing single file is
+/// a one-shard view; any other path is a shard directory, created if
+/// absent.
+fn open_db(args: &Args) -> Result<ShardedDb, String> {
     let path = args.require("db")?;
-    let p = Path::new(path);
-    if args.switch("sharded") && !p.exists() {
-        std::fs::create_dir_all(p).map_err(|e| format!("create {path}: {e}"))?;
-    }
-    AnyDb::open(p).map_err(|e| format!("open {path}: {e}"))
+    ShardedDb::open(Path::new(path)).map_err(|e| format!("open {path}: {e}"))
 }
 
 fn scenario_from(args: &Args) -> Result<Scenario, ArgError> {
@@ -420,7 +415,7 @@ fn simulate(args: &Args) -> Result<(), String> {
     );
     if args.switch("archive-video") {
         eprintln!("archiving video frames...");
-        let vdb = db.db_for_clip_mut(clip_id).map_err(|e| e.to_string())?;
+        let vdb = db.routed_shard(clip_id).map_err(|e| e.to_string())?;
         let segments = archive_clip_video(vdb, clip_id, &clip, FrameCodec::default(), 50)
             .map_err(|e| e.to_string())?;
         println!(
@@ -488,7 +483,7 @@ fn info(args: &Args) -> Result<(), String> {
 }
 
 /// `--clips 1,2,3`, defaulting to every clip in the database.
-fn clip_ids_from(args: &Args, db: &AnyDb) -> Result<Vec<u64>, String> {
+fn clip_ids_from(args: &Args, db: &ShardedDb) -> Result<Vec<u64>, String> {
     match args.get("clips") {
         Some(spec) => spec
             .split(',')
@@ -507,13 +502,13 @@ fn clip_ids_from(args: &Args, db: &AnyDb) -> Result<Vec<u64>, String> {
 /// reshaping — no vision work either way) and, when indexing was asked
 /// for, persisted so the next query is a hit.
 fn indexed_dataset(
-    db: &mut AnyDb,
+    db: &mut ShardedDb,
     clip_id: u64,
     use_index: bool,
     rebuild: bool,
 ) -> Result<Dataset, String> {
     let wcfg = WindowConfig::default();
-    let vdb = db.db_for_clip_mut(clip_id).map_err(|e| e.to_string())?;
+    let vdb = db.routed_shard(clip_id).map_err(|e| e.to_string())?;
     if use_index && !rebuild {
         if let Some(ds) = tsvr_core::load_index(vdb, clip_id, &wcfg).map_err(|e| e.to_string())? {
             return Ok(ds);
@@ -538,7 +533,7 @@ fn index_cmd(action: &str, args: &Args) -> Result<(), String> {
     match action {
         "build" => {
             for &id in &clip_ids {
-                let vdb = db.db_for_clip_mut(id).map_err(|e| e.to_string())?;
+                let vdb = db.routed_shard(id).map_err(|e| e.to_string())?;
                 let bundle = vdb.load_clip(id).map_err(|e| e.to_string())?;
                 let ds = tsvr_core::dataset_from_bundle(&bundle, wcfg);
                 tsvr_core::build_index(vdb, id, &ds).map_err(|e| e.to_string())?;
@@ -558,7 +553,7 @@ fn index_cmd(action: &str, args: &Args) -> Result<(), String> {
                 // Raw presence first, so a config-hash mismatch reads
                 // as "stale", not "missing".
                 let present = db.load_index(id).map_err(|e| e.to_string())?.is_some();
-                let vdb = db.db_for_clip_mut(id).map_err(|e| e.to_string())?;
+                let vdb = db.routed_shard(id).map_err(|e| e.to_string())?;
                 let status = match tsvr_core::load_index(vdb, id, &wcfg)
                     .map_err(|e| e.to_string())?
                 {
@@ -781,7 +776,7 @@ fn query(args: &Args) -> Result<(), String> {
 /// feedback history, so the row with the most rounds is the freshest
 /// state; among equals the later append wins.
 fn stored_session_row(
-    db: &mut AnyDb,
+    db: &mut ShardedDb,
     clip_id: u64,
     session_id: u64,
 ) -> Result<SessionRow, String> {
@@ -856,7 +851,7 @@ fn resume(args: &Args) -> Result<(), String> {
 /// a terminal).
 #[allow(clippy::too_many_arguments)] // one-shot plumbing from `query`
 fn interactive_query(
-    db: &mut AnyDb,
+    db: &mut ShardedDb,
     clip_id: u64,
     bundle: &tsvr_viddb::ClipBundle,
     bags: &[tsvr_mil::Bag],
@@ -1117,22 +1112,14 @@ fn search(args: &Args) -> Result<(), String> {
         // Deterministic cross-clip preview straight off the index,
         // scattered one task per shard (byte-identical to the
         // single-shard path at any thread count).
-        let mut by_shard: std::collections::BTreeMap<String, Vec<tsvr_core::ClipWindows>> =
-            Default::default();
-        for (id, bags, _) in &parts {
-            let shard = db.shard_of_clip(*id).unwrap_or("-").to_string();
-            by_shard.entry(shard).or_default().push(tsvr_core::ClipWindows {
-                clip_id: *id,
-                bags: bags.clone(),
-            });
-        }
-        let shards: Vec<tsvr_core::ShardWindows> = by_shard
-            .into_iter()
-            .map(|(shard, clips)| tsvr_core::ShardWindows { shard, clips })
+        let clips = parts
+            .iter()
+            .map(|(id, bags, _)| tsvr_core::ClipWindows { clip_id: *id, bags: bags.clone() })
             .collect();
+        let shards = tsvr_core::ShardWindows::group(&db, clips).map_err(|e| e.to_string())?;
         let k = args.num("top", 20)?;
         println!("heuristic top {k} (index-served):");
-        for r in tsvr_core::sharded_heuristic_topk(&shards, k) {
+        for r in tsvr_core::rank_topk(&shards, tsvr_core::Scorer::Heuristic, k) {
             println!(
                 "  clip {} window {} score {:.4}",
                 r.clip_id, r.window_index, r.score
@@ -1201,7 +1188,7 @@ fn export(args: &Args) -> Result<(), String> {
     let out = PathBuf::from(args.require("out")?);
     std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
     let frames = db
-        .db_for_clip_mut(clip_id)
+        .routed_shard(clip_id)
         .and_then(|vdb| vdb.load_frames(clip_id, from, to))
         .map_err(|e| e.to_string())?;
     if frames.is_empty() {
@@ -1231,15 +1218,12 @@ fn compact(args: &Args) -> Result<(), String> {
 fn verify(args: &Args) -> Result<(), String> {
     let mut db = open_db(args)?;
     let reports = db.verify().map_err(|e| e.to_string())?;
-    let sharded = matches!(db, AnyDb::Sharded(_));
     let mut report = tsvr_viddb::VerifyReport::default();
     for (shard, r) in &reports {
-        if sharded {
-            println!(
-                "shard {shard}: {} records, {} clips intact, {} quarantined",
-                r.records_checked, r.clips_intact, r.clips_quarantined
-            );
-        }
+        println!(
+            "shard {shard}: {} records, {} clips intact, {} quarantined",
+            r.records_checked, r.clips_intact, r.clips_quarantined
+        );
         report.records_checked += r.records_checked;
         report.clips_intact += r.clips_intact;
         report.clips_quarantined += r.clips_quarantined;
@@ -1297,6 +1281,7 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("tsvr-cli-test-{}-{name}.db", std::process::id()));
         let _ = std::fs::remove_file(&p);
+        let _ = std::fs::remove_dir_all(&p);
         p.to_string_lossy().into_owned()
     }
 
@@ -1399,7 +1384,7 @@ mod tests {
         // A post-compaction verify must still find a clean database.
         run(&["verify", "--db", &db]).unwrap();
         let _ = std::fs::remove_dir_all(&out);
-        let _ = std::fs::remove_file(&db);
+        let _ = std::fs::remove_dir_all(&db);
     }
 
     #[test]
@@ -1448,7 +1433,7 @@ mod tests {
             "query", "--db", &db, "--clip-id", "9", "--event", "warp_drive",
         ])
         .is_err());
-        let _ = std::fs::remove_file(&db);
+        let _ = std::fs::remove_dir_all(&db);
     }
 
     #[test]
@@ -1506,12 +1491,14 @@ mod tests {
             &temp_db("noframes")
         ])
         .is_err());
-        let _ = std::fs::remove_file(&db);
+        let _ = std::fs::remove_dir_all(&db);
     }
 
     #[test]
     fn verify_reports_damage_without_failing() {
+        // A single-file archive, opened in place as one shard.
         let db = temp_db("verify-damaged");
+        VideoDb::open(Path::new(&db)).unwrap();
         run(&[
             "simulate",
             "--db",
@@ -1532,6 +1519,7 @@ mod tests {
         run(&["verify", "--db", &db]).unwrap();
         run(&["compact", "--db", &db]).unwrap();
         run(&["verify", "--db", &db]).unwrap();
+        assert!(Path::new(&db).is_file(), "still one file");
         let _ = std::fs::remove_file(&db);
     }
 
@@ -1551,7 +1539,7 @@ mod tests {
         ])
         .unwrap();
         // Drive the interactive session with canned answers.
-        let mut dbh = AnyDb::open(Path::new(&db)).unwrap();
+        let mut dbh = ShardedDb::open(Path::new(&db)).unwrap();
         let bundle = dbh.load_clip(1).unwrap();
         let bags = bags_from_bundle(&bundle, &FeatureConfig::default());
         let event = EventQuery::accidents();
@@ -1593,7 +1581,7 @@ mod tests {
             &mut short,
         )
         .unwrap();
-        let _ = std::fs::remove_file(&db);
+        let _ = std::fs::remove_dir_all(&db);
     }
 
     #[test]
@@ -1661,7 +1649,7 @@ mod tests {
             "session", "replay", "--db", &db, "--clip-id", "1", "--session", "99",
         ])
         .is_err());
-        let _ = std::fs::remove_file(&db);
+        let _ = std::fs::remove_dir_all(&db);
     }
 
     #[test]
@@ -1679,7 +1667,7 @@ mod tests {
         .unwrap();
         assert!(run(&["serve", "--db", &db, "--workers", "0"]).is_err());
         assert!(run(&["serve", "--db", &db, "--addr", "999.999.999.999:1"]).is_err());
-        let _ = std::fs::remove_file(&db);
+        let _ = std::fs::remove_dir_all(&db);
     }
 
     #[test]
@@ -1704,10 +1692,11 @@ mod tests {
         run(&["index", "build", "--db", &db]).unwrap();
         run(&["index", "verify", "--db", &db]).unwrap();
         {
-            let mut dbh = VideoDb::open(Path::new(&db)).unwrap();
+            let mut dbh = ShardedDb::open(Path::new(&db)).unwrap();
             assert_eq!(dbh.index_count(), 2);
             // The stored index serves the default configuration.
-            assert!(tsvr_core::load_index(&mut dbh, 1, &WindowConfig::default())
+            let shard = dbh.shard_for_clip_mut(1).unwrap();
+            assert!(tsvr_core::load_index(shard, 1, &WindowConfig::default())
                 .unwrap()
                 .is_some());
         }
@@ -1754,7 +1743,7 @@ mod tests {
         assert!(run(&["index", "--db", &db]).is_err(), "missing action");
         assert!(run(&["index", "frobnicate", "--db", &db]).is_err());
         assert!(run(&["index", "build", "--db", &db, "--clips", "99"]).is_err());
-        let _ = std::fs::remove_file(&db);
+        let _ = std::fs::remove_dir_all(&db);
     }
 
     #[test]
@@ -1814,7 +1803,7 @@ mod tests {
         // Retain every traced request so `slowlog` has something to show.
         tsvr_obs::trace::set_slow_threshold_ns(0);
         let service = std::sync::Arc::new(tsvr_serve::Service::new(
-            VideoDb::open(Path::new(&db)).unwrap(),
+            ShardedDb::open(Path::new(&db)).unwrap(),
             tsvr_serve::ServiceConfig::default(),
         ));
         let server = tsvr_serve::Server::start(
@@ -1859,7 +1848,7 @@ mod tests {
 
         server.shutdown();
         tsvr_obs::trace::set_slow_threshold_ns(u64::MAX);
-        let _ = std::fs::remove_file(&db);
+        let _ = std::fs::remove_dir_all(&db);
     }
 
     #[test]

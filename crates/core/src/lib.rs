@@ -44,18 +44,14 @@ pub use index::{
 };
 pub use ingest::{archive_clip_video, bags_from_bundle, bundle_from_clip, labels_from_bundle};
 pub use labels::label_windows;
-pub use multiclip::{
-    heuristic_topk, learner_topk, sharded_heuristic_topk, sharded_learner_topk, ClipWindows,
-    MultiClipIndex, ShardWindows,
-};
+pub use multiclip::{rank_topk, ClipWindows, MultiClipIndex, Scorer, ShardWindows};
 pub use pipeline::{
     bags_from_dataset, median_heuristic_gamma, prepare_clip, prepare_sim, run_session,
     ClipArtifacts, LearnerKind, PipelineOptions,
 };
 pub use qlang::{
     classify_tracks, nearest_names, parse as parse_query, Clause, ClassRoster, Cmp, DegradedShard,
-    FeatureField, PlanError, PlanOutcome, PlanStats, Planner, Query, QueryError, Scorer,
-    NOMINAL_FPS,
+    FeatureField, PlanError, PlanOutcome, PlanStats, Planner, Query, QueryError, NOMINAL_FPS,
 };
 pub use query::{EventQuery, RankedWindow, TopK, UnknownEventName};
 pub use replay::{continue_session, replay_session, ReplayError};

@@ -12,9 +12,10 @@
 //! session can rank the entire database.
 
 use crate::query::{EventQuery, RankedWindow, TopK};
+use std::collections::BTreeMap;
 use tsvr_mil::{Bag, Instance, Learner};
 use tsvr_trajectory::checkpoint::{Alpha, FeatureConfig};
-use tsvr_viddb::ClipBundle;
+use tsvr_viddb::{ClipBundle, DbError, ShardedDb};
 
 /// A unified, cross-clip bag database.
 #[derive(Debug, Clone)]
@@ -130,54 +131,37 @@ pub struct ClipWindows {
     pub bags: Vec<Bag>,
 }
 
-/// Ranks every window of every clip with the event heuristic and keeps
-/// the best `k`.
-///
-/// Scoring fans out per window inside each clip (via
-/// [`tsvr_mil::heuristic::bag_scores`]' order-preserving parallel map),
-/// but the merge walks clips and windows in their given order through a
-/// bounded [`TopK`] with a full tie-break — so the result is the same
-/// byte sequence at any thread count.
-pub fn heuristic_topk(clips: &[ClipWindows], k: usize) -> Vec<RankedWindow> {
-    let _span = tsvr_obs::span!("query.multiclip");
-    let mut topk = TopK::new(k);
-    for clip in clips {
-        for (bag, score) in clip.bags.iter().zip(tsvr_mil::heuristic::bag_scores(&clip.bags)) {
-            topk.push(score, clip.clip_id, bag.id as u64);
-        }
-    }
-    topk.into_sorted()
-}
-
-/// Like [`heuristic_topk`] but scoring with a trained learner
-/// ([`Learner::score_all`], which batches/parallelizes internally with
-/// the same bit-identical-to-`score` contract). Deterministic for the
-/// same reason: parallel scoring is order-preserving, the top-k merge
-/// is sequential and fully tie-broken.
-pub fn learner_topk<L: Learner + ?Sized>(
-    clips: &[ClipWindows],
-    learner: &L,
-    k: usize,
-) -> Vec<RankedWindow> {
-    let _span = tsvr_obs::span!("query.multiclip");
-    let mut topk = TopK::new(k);
-    for clip in clips {
-        for (bag, score) in clip.bags.iter().zip(learner.score_all(&clip.bags)) {
-            topk.push(score, clip.clip_id, bag.id as u64);
-        }
-    }
-    topk.into_sorted()
-}
-
 /// One shard's worth of clips, the unit of parallel scatter-gather:
 /// the query layer builds one `ShardWindows` per healthy
-/// [`tsvr_viddb::ShardedDb`] shard and ranks shards concurrently.
+/// [`ShardedDb`] shard and ranks shards concurrently.
 #[derive(Debug, Clone)]
 pub struct ShardWindows {
     /// Shard file name (diagnostic only; never affects ranking).
     pub shard: String,
     /// The shard's clips, each with its windows as MIL bags.
     pub clips: Vec<ClipWindows>,
+}
+
+impl ShardWindows {
+    /// Groups clips by the shard `db` stores each in, shards in name
+    /// order and clips in input order. A clip the database does not
+    /// know is [`DbError::ClipNotFound`].
+    pub fn group(db: &ShardedDb, clips: Vec<ClipWindows>) -> Result<Vec<ShardWindows>, DbError> {
+        let mut by_shard: BTreeMap<&str, Vec<ClipWindows>> = BTreeMap::new();
+        for clip in clips {
+            let shard = db
+                .shard_of_clip(clip.clip_id)
+                .ok_or(DbError::ClipNotFound(clip.clip_id))?;
+            by_shard.entry(shard).or_default().push(clip);
+        }
+        Ok(by_shard
+            .into_iter()
+            .map(|(shard, clips)| ShardWindows {
+                shard: shard.to_string(),
+                clips,
+            })
+            .collect())
+    }
 }
 
 /// Merges per-shard local top-k lists into the global top-k.
@@ -189,8 +173,8 @@ pub struct ShardWindows {
 /// insertion-order-insensitive — its tie-break covers the full window
 /// identity `(score, clip_id, window_index)` — so the merge result
 /// does not depend on which shard's list arrives first. Together:
-/// sharded ranking is byte-identical to the single-shard path, at any
-/// thread count and any partition of clips into shards.
+/// ranking is byte-identical across every partition of clips into
+/// shards (the one-shard partition included), at any thread count.
 fn merge_local_topk(locals: Vec<Vec<RankedWindow>>, k: usize) -> Vec<RankedWindow> {
     let mut topk = TopK::new(k);
     for local in locals {
@@ -201,44 +185,40 @@ fn merge_local_topk(locals: Vec<Vec<RankedWindow>>, k: usize) -> Vec<RankedWindo
     topk.into_sorted()
 }
 
-/// Heuristic top-k over sharded clips: shards scatter across threads
-/// via [`tsvr_par::par_map`] (order-preserving), each computes its
-/// local top-k *sequentially* (per-window [`tsvr_mil::heuristic::bag_score`],
-/// so shard-level parallelism is not nested inside bag-level
-/// parallelism), and the locals gather through [`merge_local_topk`].
-/// Byte-identical to [`heuristic_topk`] over the concatenated clips.
-pub fn sharded_heuristic_topk(shards: &[ShardWindows], k: usize) -> Vec<RankedWindow> {
-    let _span = tsvr_obs::span!("query.multiclip.sharded");
-    tsvr_obs::counter!("query.scatter.shards").add(shards.len() as u64);
-    let locals = tsvr_par::par_map_est(shards, shard_cost_hint_ns(shards), |_, shard| {
-        let mut topk = TopK::new(k);
-        for clip in &shard.clips {
-            for bag in &clip.bags {
-                topk.push(tsvr_mil::heuristic::bag_score(bag), clip.clip_id, bag.id as u64);
-            }
-        }
-        topk.into_sorted()
-    });
-    merge_local_topk(locals, k)
+/// How a ranking scores each window's bag.
+#[derive(Clone, Copy)]
+pub enum Scorer<'a> {
+    /// The stateless event heuristic ([`tsvr_mil::heuristic::bag_score`]).
+    Heuristic,
+    /// A trained session learner.
+    Learner(&'a (dyn Learner + Sync)),
 }
 
-/// Learner-scored top-k over sharded clips; same scatter-gather shape
-/// and determinism argument as [`sharded_heuristic_topk`]
-/// ([`Learner::score_all`] is bit-identical to per-bag
-/// [`Learner::score`], which each shard applies sequentially).
-/// Byte-identical to [`learner_topk`] over the concatenated clips.
-pub fn sharded_learner_topk<L: Learner + Sync + ?Sized>(
-    shards: &[ShardWindows],
-    learner: &L,
-    k: usize,
-) -> Vec<RankedWindow> {
+impl Scorer<'_> {
+    fn score(self, bag: &Bag) -> f64 {
+        match self {
+            Scorer::Heuristic => tsvr_mil::heuristic::bag_score(bag),
+            Scorer::Learner(l) => l.score(bag),
+        }
+    }
+}
+
+/// Top-k over sharded clips, the one ranking path for every caller: a
+/// flat list of clips is the one-shard case. Shards scatter across
+/// threads via [`tsvr_par::par_map`] (order-preserving), each computes
+/// its local top-k *sequentially* (per-window [`Scorer`] calls, so
+/// shard-level parallelism is not nested inside bag-level parallelism),
+/// and the locals gather through [`merge_local_topk`]. The result is
+/// the same bytes for any partition of the clips into shards, at any
+/// thread count.
+pub fn rank_topk(shards: &[ShardWindows], scorer: Scorer<'_>, k: usize) -> Vec<RankedWindow> {
     let _span = tsvr_obs::span!("query.multiclip.sharded");
     tsvr_obs::counter!("query.scatter.shards").add(shards.len() as u64);
     let locals = tsvr_par::par_map_est(shards, shard_cost_hint_ns(shards), |_, shard| {
         let mut topk = TopK::new(k);
         for clip in &shard.clips {
             for bag in &clip.bags {
-                topk.push(learner.score(bag), clip.clip_id, bag.id as u64);
+                topk.push(scorer.score(bag), clip.clip_id, bag.id as u64);
             }
         }
         topk.into_sorted()
@@ -391,12 +371,17 @@ mod tests {
         ]
     }
 
+    /// Every clip in one shard: the reference partition.
+    fn one_shard(clips: &[ClipWindows]) -> Vec<ShardWindows> {
+        vec![ShardWindows { shard: "s0".into(), clips: clips.to_vec() }]
+    }
+
     #[test]
-    fn heuristic_topk_ranks_across_clips() {
+    fn heuristic_ranking_spans_clips() {
         let clips = two_clip_windows();
         let total: usize = clips.iter().map(|c| c.bags.len()).sum();
         let k = 8.min(total);
-        let top = heuristic_topk(&clips, k);
+        let top = rank_topk(&one_shard(&clips), Scorer::Heuristic, k);
         assert_eq!(top.len(), k);
         // Best-first, fully ordered.
         for pair in top.windows(2) {
@@ -415,11 +400,11 @@ mod tests {
     }
 
     #[test]
-    fn learner_topk_matches_learner_scores() {
+    fn learner_ranking_matches_learner_scores() {
         let clips = two_clip_windows();
         let all_bags: Vec<tsvr_mil::Bag> = clips.iter().flat_map(|c| c.bags.clone()).collect();
         let learner = LearnerKind::paper_weighted_rf().build_for(&all_bags);
-        let top = learner_topk(&clips, &learner, 5);
+        let top = rank_topk(&one_shard(&clips), Scorer::Learner(&learner), 5);
         assert_eq!(top.len(), 5);
         for r in &top {
             let clip = clips.iter().find(|c| c.clip_id == r.clip_id).unwrap();
@@ -442,19 +427,25 @@ mod tests {
     }
 
     /// Every way to split the clips into shards must give the same
-    /// bytes as the unsharded path, at one thread and at many.
+    /// bytes as the one-shard partition, at one thread and at many.
     #[test]
     fn sharded_topk_byte_identical_to_single_shard_at_any_thread_count() {
         let clips = two_clip_windows();
         let k = 8;
-        let flat_h = heuristic_topk(&clips, k);
         let all_bags: Vec<tsvr_mil::Bag> = clips.iter().flat_map(|c| c.bags.clone()).collect();
         let learner = LearnerKind::paper_weighted_rf().build_for(&all_bags);
-        let flat_l = learner_topk(&clips, &learner, k);
+        let saved = tsvr_par::current_threads();
+        tsvr_par::set_threads(1);
+        let ref_h = rank_topk(&one_shard(&clips), Scorer::Heuristic, k);
+        let ref_l = rank_topk(&one_shard(&clips), Scorer::Learner(&learner), k);
+        // The batched learner path agrees with the reference too.
+        let batched = learner.score_all(&all_bags);
+        for r in &ref_l {
+            let offset = if r.clip_id == 1 { 0 } else { clips[0].bags.len() };
+            assert_eq!(r.score.to_bits(), batched[offset + r.window_index as usize].to_bits());
+        }
 
         let partitions: Vec<Vec<ShardWindows>> = vec![
-            // One shard holding everything (the degenerate case).
-            vec![ShardWindows { shard: "s0".into(), clips: clips.clone() }],
             // One clip per shard.
             clips
                 .iter()
@@ -472,12 +463,11 @@ mod tests {
                 ShardWindows { shard: "all".into(), clips: clips.clone() },
             ],
         ];
-        let saved = tsvr_par::current_threads();
         for threads in [1, 4] {
             tsvr_par::set_threads(threads);
-            for shards in &partitions {
-                assert_rankings_identical(&sharded_heuristic_topk(shards, k), &flat_h);
-                assert_rankings_identical(&sharded_learner_topk(shards, &learner, k), &flat_l);
+            for shards in partitions.iter().chain([&one_shard(&clips)]) {
+                assert_rankings_identical(&rank_topk(shards, Scorer::Heuristic, k), &ref_h);
+                assert_rankings_identical(&rank_topk(shards, Scorer::Learner(&learner), k), &ref_l);
             }
         }
         tsvr_par::set_threads(saved);
@@ -485,9 +475,24 @@ mod tests {
 
     #[test]
     fn sharded_topk_of_nothing_is_empty() {
-        assert!(sharded_heuristic_topk(&[], 5).is_empty());
+        assert!(rank_topk(&[], Scorer::Heuristic, 5).is_empty());
         let shards = [ShardWindows { shard: "empty".into(), clips: vec![] }];
-        assert!(sharded_heuristic_topk(&shards, 5).is_empty());
+        assert!(rank_topk(&shards, Scorer::Heuristic, 5).is_empty());
+    }
+
+    #[test]
+    fn group_follows_the_database_shard_of_each_clip() {
+        let mut db = tsvr_viddb::ShardedDb::from(tsvr_viddb::VideoDb::in_memory());
+        let (a, _) = two_bundles();
+        db.put_clip(&a).unwrap();
+        let clip = |clip_id| ClipWindows { clip_id, bags: vec![] };
+        let shards = ShardWindows::group(&db, vec![clip(1)]).unwrap();
+        assert_eq!(shards.len(), 1);
+        assert_eq!(shards[0].shard, tsvr_viddb::SINGLE_FILE_SHARD);
+        assert!(matches!(
+            ShardWindows::group(&db, vec![clip(1), clip(5)]),
+            Err(DbError::ClipNotFound(5))
+        ));
     }
 
     #[test]

@@ -21,11 +21,13 @@
 //!    archived bundle rows. Zero vision work in either case.
 //! 3. **MIL ranking over survivors only** — the surviving windows are
 //!    grouped per shard and ranked through the same
-//!    [`crate::multiclip::sharded_heuristic_topk`] /
-//!    [`crate::multiclip::sharded_learner_topk`] scatter-gather as an
-//!    unplanned scan, so the planned ranking is *byte-identical* to a
-//!    full scan post-filtered by the same predicates, at any thread
-//!    count.
+//!    [`crate::multiclip::rank_topk`] scatter-gather as an unplanned
+//!    scan, so the planned ranking is *byte-identical* to a full scan
+//!    post-filtered by the same predicates, at any thread count.
+//!
+//! A single-file archive plans the same way: its
+//! [`tsvr_viddb::ShardedDb`] view derives one route per `(camera,
+//! bucket)` from clip metadata, all naming its one file.
 //!
 //! The grammar is a conjunction of clauses joined by `and` (or the
 //! single keyword `all` for the unfiltered query):
@@ -49,15 +51,14 @@
 
 use crate::index::{config_hash, dataset_from_segment};
 use crate::ingest::bags_from_bundle;
-use crate::multiclip::{sharded_heuristic_topk, sharded_learner_topk, ClipWindows, ShardWindows};
+use crate::multiclip::{rank_topk, ClipWindows, Scorer, ShardWindows};
 use crate::pipeline::bags_from_dataset;
 use crate::query::{EventQuery, RankedWindow, UnknownEventName};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use tsvr_mil::Learner;
 use tsvr_sim::VehicleClass;
 use tsvr_trajectory::WindowConfig;
-use tsvr_viddb::{AnyDb, ClipStub, DbError, RouteStatus, ShardRoute};
+use tsvr_viddb::{ClipStub, DbError, RouteStatus, ShardRoute, ShardedDb};
 use tsvr_vision::pca::PcaClassifier;
 use tsvr_vision::tracker::{BlobStats, Track};
 
@@ -907,8 +908,8 @@ impl From<DbError> for PlanError {
 /// a query was cheap (or was not).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
-    /// Manifest routes examined (one per `(camera, bucket)` key), or 1
-    /// for a single-file database.
+    /// Routes examined, one per `(camera, bucket)` key (derived from
+    /// clip metadata for a single-file archive).
     pub shards_total: usize,
     /// Routes eliminated by camera/time predicates alone.
     pub shards_pruned: usize,
@@ -953,14 +954,6 @@ pub struct PlanOutcome {
     pub degraded: Vec<DegradedShard>,
 }
 
-/// How stage 3 scores the surviving windows.
-pub enum Scorer<'a> {
-    /// The stateless event heuristic ([`tsvr_mil::heuristic::bag_score`]).
-    Heuristic,
-    /// A trained session learner.
-    Learner(&'a (dyn Learner + Sync)),
-}
-
 /// The progressive query planner. See the module docs for the three
 /// stages and the determinism contract.
 pub struct Planner<'a> {
@@ -988,7 +981,7 @@ impl<'a> Planner<'a> {
     /// survivors plus the plan receipt.
     pub fn run(
         &self,
-        db: &mut AnyDb,
+        db: &mut ShardedDb,
         query: &Query,
         scorer: Scorer<'_>,
     ) -> Result<PlanOutcome, PlanError> {
@@ -997,53 +990,27 @@ impl<'a> Planner<'a> {
         let mut stats = PlanStats::default();
         let mut degraded = Vec::new();
 
-        // Stage 1: shard pruning from the manifest routes.
+        // Stage 1: shard pruning from the routes.
         let mut candidates: Vec<ClipStub> = Vec::new();
-        match db.shard_routes() {
-            Some((bucket_secs, routes)) => {
-                stats.shards_total = routes.len();
-                for route in routes {
-                    match route_decision(&route, bucket_secs, &compiled) {
-                        RouteDecision::Pruned => stats.shards_pruned += 1,
-                        RouteDecision::Degraded(reason) => degraded.push(DegradedShard {
-                            file: route.file,
-                            camera: route.camera,
-                            bucket: route.bucket,
-                            reason,
-                        }),
-                        RouteDecision::Clips(stubs) => {
-                            stats.clips_considered += stubs.len();
-                            for stub in stubs {
-                                if compiled.clip_admits(&stub) {
-                                    candidates.push(stub);
-                                } else {
-                                    stats.clips_pruned += 1;
-                                }
-                            }
+        let routes = db.shard_routes();
+        stats.shards_total = routes.len();
+        for route in routes {
+            match route_decision(&route, db.bucket_secs(), &compiled) {
+                RouteDecision::Pruned => stats.shards_pruned += 1,
+                RouteDecision::Degraded(reason) => degraded.push(DegradedShard {
+                    file: route.file,
+                    camera: route.camera,
+                    bucket: route.bucket,
+                    reason,
+                }),
+                RouteDecision::Clips(stubs) => {
+                    stats.clips_considered += stubs.len();
+                    for stub in stubs {
+                        if compiled.clip_admits(&stub) {
+                            candidates.push(stub);
+                        } else {
+                            stats.clips_pruned += 1;
                         }
-                    }
-                }
-            }
-            None => {
-                // Single-file database: one unprunable "shard"; clips
-                // are still pruned exactly by metadata.
-                stats.shards_total = 1;
-                let stubs: Vec<ClipStub> = db
-                    .list_clips()
-                    .iter()
-                    .map(|m| ClipStub {
-                        clip_id: m.clip_id,
-                        camera: m.camera.clone(),
-                        start_time: m.start_time,
-                        frame_count: m.frame_count,
-                    })
-                    .collect();
-                stats.clips_considered = stubs.len();
-                for stub in stubs {
-                    if compiled.clip_admits(&stub) {
-                        candidates.push(stub);
-                    } else {
-                        stats.clips_pruned += 1;
                     }
                 }
             }
@@ -1054,15 +1021,11 @@ impl<'a> Planner<'a> {
 
         // Stage 2: per-window pre-filtering against stored rows, then
         // bag construction for survivors only.
-        let mut clip_windows: Vec<(String, ClipWindows)> = Vec::new();
+        let mut clip_windows: Vec<ClipWindows> = Vec::new();
         for stub in &candidates {
-            let shard = db
-                .shard_of_clip(stub.clip_id)
-                .unwrap_or("-")
-                .to_string();
             let survivors = self.filter_clip_windows(db, stub, &compiled, &mut stats)?;
             if !survivors.bags.is_empty() {
-                clip_windows.push((shard, survivors));
+                clip_windows.push(survivors);
             }
         }
         tsvr_obs::counter!("query.plan.windows_prefiltered")
@@ -1071,18 +1034,8 @@ impl<'a> Planner<'a> {
 
         // Stage 3: MIL ranking over survivors, grouped per shard and
         // merged through the deterministic scatter-gather.
-        let mut by_shard: BTreeMap<String, Vec<ClipWindows>> = BTreeMap::new();
-        for (shard, cw) in clip_windows {
-            by_shard.entry(shard).or_default().push(cw);
-        }
-        let shards: Vec<ShardWindows> = by_shard
-            .into_iter()
-            .map(|(shard, clips)| ShardWindows { shard, clips })
-            .collect();
-        let ranking = match scorer {
-            Scorer::Heuristic => sharded_heuristic_topk(&shards, self.top_k),
-            Scorer::Learner(l) => sharded_learner_topk(&shards, l, self.top_k),
-        };
+        let shards = ShardWindows::group(db, clip_windows)?;
+        let ranking = rank_topk(&shards, scorer, self.top_k);
         if !degraded.is_empty() {
             tsvr_obs::counter!("query.plan.degraded_routes").add(degraded.len() as u64);
         }
@@ -1101,7 +1054,7 @@ impl<'a> Planner<'a> {
     /// what a full scan would have scored.
     fn filter_clip_windows(
         &self,
-        db: &mut AnyDb,
+        db: &mut ShardedDb,
         stub: &ClipStub,
         compiled: &Compiled<'_>,
         stats: &mut PlanStats,

@@ -7,20 +7,22 @@
 //! same score bits. These tests check that contract over randomly
 //! generated queries against a real on-disk archive whose clips all
 //! straddle shard bucket boundaries (the historically dangerous case),
-//! plus a parser round-trip property over randomly generated ASTs.
+//! and the same clips stored as a single-file archive (its one-shard
+//! view derives its routes from clip metadata), plus a parser
+//! round-trip property over randomly generated ASTs.
 //!
 //! Driven by the in-tree seeded harness (`tsvr_sim::check`).
 
 use std::path::PathBuf;
 use tsvr_core::{
-    bags_from_bundle, build_index, bundle_from_clip, dataset_from_bundle, heuristic_topk,
-    parse_query, prepare_clip, Clause, ClipWindows, Cmp, EventQuery, FeatureField,
-    PipelineOptions, Planner, Query, RankedWindow, Scorer, NOMINAL_FPS,
+    bags_from_bundle, build_index, bundle_from_clip, dataset_from_bundle, parse_query,
+    prepare_clip, rank_topk, Clause, ClipWindows, Cmp, EventQuery, FeatureField,
+    PipelineOptions, Planner, Query, RankedWindow, Scorer, ShardWindows, NOMINAL_FPS,
 };
 use tsvr_sim::check;
 use tsvr_sim::{Pcg32, Scenario, VehicleClass};
 use tsvr_trajectory::WindowConfig;
-use tsvr_viddb::{AnyDb, ClipBundle, ClipMeta, ShardedDb};
+use tsvr_viddb::{ClipBundle, ClipMeta, ShardedDb, VideoDb};
 
 /// Short buckets (7 s) against 16 s clips: every clip straddles at
 /// least two buckets, so any pruning bug that assumes clips fit inside
@@ -28,7 +30,9 @@ use tsvr_viddb::{AnyDb, ClipBundle, ClipMeta, ShardedDb};
 const BUCKET_SECS: u64 = 7;
 
 struct Archive {
-    db: AnyDb,
+    db: ShardedDb,
+    /// The same clips and indexes in one single-file-layout archive.
+    single: ShardedDb,
     metas: Vec<ClipMeta>,
     bundles: Vec<ClipBundle>,
     /// Every clip's windows ranked once, unfiltered, in global order.
@@ -46,6 +50,7 @@ fn build_archive(tag: &str) -> Archive {
     dir.push(format!("tsvr-qlang-props-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut db = ShardedDb::open_with_bucket(&dir, BUCKET_SECS).expect("open");
+    let mut single = ShardedDb::from(VideoDb::in_memory());
     // (camera, start_time): starts sit mid-bucket so clip spans cross
     // into the following bucket(s).
     let placements = [("cam-0", 3u64), ("cam-0", 20), ("cam-1", 6), ("cam-1", 13)];
@@ -68,17 +73,18 @@ fn build_archive(tag: &str) -> Archive {
             height: clip.sim.height,
         };
         let bundle = bundle_from_clip(&clip, meta.clone());
-        db.put_clip(&bundle).expect("put_clip");
-        if clip_id.is_multiple_of(2) {
-            let dataset = dataset_from_bundle(&bundle, WindowConfig::default());
-            build_index(db.shard_for_clip_mut(clip_id).expect("shard"), clip_id, &dataset)
-                .expect("build_index");
+        for db in [&mut db, &mut single] {
+            db.put_clip(&bundle).expect("put_clip");
+            if clip_id.is_multiple_of(2) {
+                let dataset = dataset_from_bundle(&bundle, WindowConfig::default());
+                build_index(db.shard_for_clip_mut(clip_id).expect("shard"), clip_id, &dataset)
+                    .expect("build_index");
+            }
         }
         metas.push(meta);
         bundles.push(bundle);
     }
     db.sync().expect("sync");
-    let db: AnyDb = db.into();
     let flat: Vec<ClipWindows> = bundles
         .iter()
         .map(|b| ClipWindows {
@@ -87,11 +93,16 @@ fn build_archive(tag: &str) -> Archive {
         })
         .collect();
     let total: usize = flat.iter().map(|c| c.bags.len()).sum();
-    let full_ranking = heuristic_topk(&flat, total);
+    let full_ranking = rank_topk(
+        &[ShardWindows { shard: "all".into(), clips: flat }],
+        Scorer::Heuristic,
+        total,
+    );
     // Touch the db once so lazily opened shards are warm before cases run.
     assert_eq!(db.list_clips().len(), metas.len());
     Archive {
         db,
+        single,
         metas,
         bundles,
         full_ranking,
@@ -255,24 +266,37 @@ fn random_query(rng: &mut Pcg32) -> Query {
 #[test]
 fn planner_equals_post_filtered_full_scan() {
     let mut archive = build_archive("fullscan");
+    let saved = tsvr_par::current_threads();
     check::cases(48, |case, rng| {
         let query = random_query(rng);
         let k = 1 + rng.uniform_usize(12);
         let planner = Planner::new(k);
-        let out = planner
-            .run(&mut archive.db, &query, Scorer::Heuristic)
-            .expect("plan");
-        assert!(out.degraded.is_empty(), "healthy archive degraded");
         let reference = reference_topk(&archive, &query, k);
-        assert_same_ranking(&out.ranking, &reference, &format!("case {case}: {query}"));
-        // Sanity on the receipt: counters must add up.
-        let s = out.stats;
-        assert_eq!(
-            s.windows_ranked,
-            s.windows_scanned - s.windows_prefiltered,
-            "case {case}: stats inconsistent: {s:?}"
-        );
+        for threads in [1, 4] {
+            tsvr_par::set_threads(threads);
+            let ctx = format!("case {case} at {threads} threads: {query}");
+            let out = planner
+                .run(&mut archive.db, &query, Scorer::Heuristic)
+                .expect("plan");
+            assert!(out.degraded.is_empty(), "healthy archive degraded");
+            assert_same_ranking(&out.ranking, &reference, &ctx);
+            // The single-file layout ranks the same bytes.
+            let single = planner
+                .run(&mut archive.single, &query, Scorer::Heuristic)
+                .expect("plan single-file");
+            assert!(single.degraded.is_empty(), "healthy single file degraded");
+            assert_same_ranking(&single.ranking, &out.ranking, &format!("{ctx} (single file)"));
+            // Sanity on the receipt: counters must add up.
+            for s in [out.stats, single.stats] {
+                assert_eq!(
+                    s.windows_ranked,
+                    s.windows_scanned - s.windows_prefiltered,
+                    "{ctx}: stats inconsistent: {s:?}"
+                );
+            }
+        }
     });
+    tsvr_par::set_threads(saved);
 }
 
 #[test]

@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn query_op_prunes_shards_and_reports_degraded_partial_results() {
-        use tsvr_viddb::{AnyDb, ShardId, ShardedDb};
+        use tsvr_viddb::{ShardId, ShardedDb};
         let mut dir = std::env::temp_dir();
         dir.push(format!("tsvr-serve-query-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -190,7 +190,7 @@ mod tests {
             db.sync().unwrap();
         }
         std::fs::write(dir.join(&victim), b"NOTADB!!").unwrap();
-        let service = Service::new(AnyDb::open(&dir).unwrap(), ServiceConfig::default());
+        let service = Service::new(ShardedDb::open(&dir).unwrap(), ServiceConfig::default());
 
         // Camera predicate prunes the other shards manifest-side.
         let Response::QueryResult {
@@ -518,6 +518,46 @@ mod tests {
             Response::Error(e) => assert_eq!(e.kind, ErrorKind::Overloaded),
             other => panic!("expected overloaded, got {other:?}"),
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_request_line_is_rejected_and_the_server_keeps_serving() {
+        use std::io::{BufRead, Write};
+        let service = Arc::new(Service::new(seeded_db(&[1]), ServiceConfig::default()));
+        let server = Server::start(
+            Arc::clone(&service),
+            "127.0.0.1:0",
+            ServerConfig {
+                workers: 1,
+                queue_cap: 4,
+            },
+        )
+        .unwrap();
+        let addr = server.addr();
+
+        // 2 MiB without a newline, sent from another thread: the server
+        // stops reading at the cap and closes, so the write may fail.
+        let flood = std::net::TcpStream::connect(addr).unwrap();
+        let mut w = flood.try_clone().unwrap();
+        let writer = std::thread::spawn(move || {
+            let _ = w.write_all(&vec![b'x'; 2 << 20]);
+        });
+        let mut line = String::new();
+        std::io::BufReader::new(flood).read_line(&mut line).unwrap();
+        match decode_response(&line).unwrap() {
+            Response::Error(e) => assert_eq!(e.kind, ErrorKind::BadRequest),
+            other => panic!("expected bad_request, got {other:?}"),
+        }
+        writer.join().unwrap();
+
+        // The one worker is free again: a new connection gets pong.
+        let fresh = std::net::TcpStream::connect(addr).unwrap();
+        let mut w = fresh.try_clone().unwrap();
+        writeln!(w, "{}", encode_request(&Envelope::new(Request::Ping))).unwrap();
+        let mut line = String::new();
+        std::io::BufReader::new(fresh).read_line(&mut line).unwrap();
+        assert_eq!(decode_response(&line).unwrap(), Response::Pong);
         server.shutdown();
     }
 }

@@ -19,7 +19,7 @@
 //! loses a round a client saw confirmed.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -28,6 +28,11 @@ use std::time::Duration;
 
 use crate::proto::{self, ErrorKind, Request, Response, ServeError};
 use crate::service::Service;
+
+/// Longest request line a connection may send, newline excluded. A
+/// longer line is answered with `bad_request` and the connection is
+/// closed, so a peer that never sends `\n` cannot grow server memory.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Transport tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -223,14 +228,16 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        // `read_line` may return a timeout error after consuming a
+        // `read_until` may return a timeout error after consuming a
         // partial line into `line`; looping without clearing keeps
-        // accumulating until the newline arrives.
+        // accumulating until the newline arrives. The `take` budget
+        // caps the line at one byte past the limit.
         let n = loop {
-            match reader.read_line(&mut line) {
+            let budget = (MAX_REQUEST_BYTES + 1).saturating_sub(line.len()) as u64;
+            match (&mut reader).take(budget).read_until(b'\n', &mut line) {
                 Ok(n) => break n,
                 Err(e)
                     if e.kind() == IoErrorKind::WouldBlock
@@ -243,13 +250,25 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                 Err(_) => return,
             }
         };
+        if line.len() > MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+            let resp = Response::Error(ServeError::new(
+                ErrorKind::BadRequest,
+                format!("request line exceeds {MAX_REQUEST_BYTES} bytes; closing connection"),
+            ));
+            // One write, so the whole line leaves before the close
+            // (which resets a connection with unread input).
+            let reply = format!("{}\n", proto::encode_response(&resp));
+            let _ = writer.write_all(reply.as_bytes());
+            return;
+        }
         if n == 0 {
             return; // EOF: client hung up.
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let decoded = proto::decode_request(&line);
+        let decoded = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => proto::decode_request(text),
+            Err(e) => Err(format!("request line is not UTF-8: {e}")),
+        };
         let is_shutdown = matches!(
             decoded,
             Ok(proto::Envelope {

@@ -34,7 +34,7 @@ use tsvr_mil::session::rank_scores;
 use tsvr_mil::{heuristic, Bag, Learner};
 use tsvr_trajectory::checkpoint::FeatureConfig;
 use tsvr_trajectory::WindowConfig;
-use tsvr_viddb::{AnyDb, DbError, SessionRow};
+use tsvr_viddb::{DbError, SessionRow, ShardedDb};
 
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -73,7 +73,7 @@ struct SessionState {
 /// [`Service::handle`] from any number of threads; the TCP server in
 /// [`crate::server`] is one such caller, tests and the CLI are others.
 pub struct Service {
-    db: Mutex<AnyDb>,
+    db: Mutex<ShardedDb>,
     /// Per-clip bag cache: loaded once (index-served when fresh),
     /// shared read-only by every session on the clip.
     clips: Mutex<HashMap<u64, Arc<Vec<Bag>>>>,
@@ -154,11 +154,11 @@ impl Deadline {
 }
 
 impl Service {
-    /// Wraps an open database — a single-file [`tsvr_viddb::VideoDb`],
-    /// a [`tsvr_viddb::ShardedDb`] directory, or an already-wrapped
-    /// [`AnyDb`]. New session ids continue after the largest persisted
-    /// one, so resumed and fresh sessions never collide.
-    pub fn new(db: impl Into<AnyDb>, cfg: ServiceConfig) -> Service {
+    /// Wraps an open archive — a [`ShardedDb`], or a
+    /// [`tsvr_viddb::VideoDb`] served as its one-shard view. New session
+    /// ids continue after the largest persisted one, so resumed and
+    /// fresh sessions never collide.
+    pub fn new(db: impl Into<ShardedDb>, cfg: ServiceConfig) -> Service {
         let db = db.into();
         let next = db.max_session_id() + 1;
         Service {
@@ -289,7 +289,7 @@ impl Service {
         let bags = {
             let mut db = self.db.lock().unwrap();
             let wcfg = WindowConfig::default();
-            let vdb = db.db_for_clip_mut(clip_id).map_err(|e| db_err(&e))?;
+            let vdb = db.routed_shard(clip_id).map_err(|e| db_err(&e))?;
             match tsvr_core::load_index(vdb, clip_id, &wcfg) {
                 Ok(Some(ds)) => bags_from_dataset(&ds),
                 Ok(None) => {

@@ -31,7 +31,8 @@
 //! * [`shard`] — [`shard::ShardedDb`]: a directory of independently
 //!   compacted per-`(camera, time-bucket)` [`db::VideoDb`] shards
 //!   behind a manifest log, routing writes by shard key and degrading
-//!   per shard on damage.
+//!   per shard on damage. It is the one archive handle: a single-file
+//!   `VideoDb` archive opens as its one-shard view.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,6 +59,6 @@ pub use record::{
 };
 pub use shard::{
     AnyDb, ClipStub, RouteStatus, ShardId, ShardInfo, ShardRoute, ShardedDb,
-    DEFAULT_TIME_BUCKET_SECS, MANIFEST_FILE,
+    DEFAULT_TIME_BUCKET_SECS, MANIFEST_FILE, SINGLE_FILE_SHARD,
 };
 pub use storage::{FaultHandle, FaultKind, FaultyStorage, FileStorage, MemStorage, OpKind, Storage};

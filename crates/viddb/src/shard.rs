@@ -40,6 +40,13 @@
 //! operations routed *into* the damaged shard fail, with
 //! [`DbError::ShardUnavailable`]. This mirrors, one level up, what a
 //! single `VideoDb` already does for a corrupt clip record.
+//!
+//! # Single-file archives
+//!
+//! An archive written as one [`VideoDb`] file opens as a manifest-less
+//! one-shard view (see `impl From<VideoDb> for ShardedDb`), so every
+//! caller handles both layouts through this one type. The file is
+//! neither rewritten nor converted.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -49,7 +56,7 @@ use crate::cache::CacheStats;
 use crate::codec::{Reader, Writer};
 use crate::db::{FaultReport, VerifyReport, VideoDb};
 use crate::error::{DbError, Result};
-use crate::log::{Log, RecoveryReport};
+use crate::log::Log;
 use crate::record::{ClipBundle, ClipMeta, IndexSegment, SessionRow};
 
 /// Default shard time-bucket width: one hour of capture time. Clips
@@ -59,6 +66,9 @@ pub const DEFAULT_TIME_BUCKET_SECS: u64 = 3600;
 
 /// Manifest file name inside a sharded database directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
+
+/// Shard name of a single-file archive's one shard.
+pub const SINGLE_FILE_SHARD: &str = "-";
 
 /// Manifest record: `(camera, bucket) -> shard file` route.
 const MF_ROUTE: u8 = 1;
@@ -129,7 +139,8 @@ pub struct ShardInfo {
 /// healthy shard.
 pub struct ShardedDb {
     dir: PathBuf,
-    manifest: Log,
+    /// `None` for a single-file view: its routes live in memory only.
+    manifest: Option<Log>,
     bucket_secs: u64,
     /// `(camera, bucket)` -> shard file name, replayed from the manifest.
     routes: BTreeMap<ShardId, String>,
@@ -143,11 +154,16 @@ pub struct ShardedDb {
 }
 
 impl ShardedDb {
-    /// Opens (or creates) a sharded database directory with the
-    /// default time-bucket width. An existing manifest's stored width
-    /// always wins, so reopening never re-routes clips.
-    pub fn open(dir: &Path) -> Result<ShardedDb> {
-        ShardedDb::open_with_bucket(dir, DEFAULT_TIME_BUCKET_SECS)
+    /// Opens an archive. An existing regular file opens as a
+    /// single-file one-shard view; any other path opens (or creates) a
+    /// sharded database directory with the default time-bucket width.
+    /// An existing manifest's stored width always wins, so reopening
+    /// never re-routes clips.
+    pub fn open(path: &Path) -> Result<ShardedDb> {
+        if path.is_file() {
+            return Ok(VideoDb::open(path)?.into());
+        }
+        ShardedDb::open_with_bucket(path, DEFAULT_TIME_BUCKET_SECS)
     }
 
     /// Opens (or creates) a sharded database directory, pinning
@@ -190,7 +206,7 @@ impl ShardedDb {
 
         let mut db = ShardedDb {
             dir: dir.to_path_buf(),
-            manifest,
+            manifest: Some(manifest),
             bucket_secs,
             routes,
             shards: BTreeMap::new(),
@@ -205,12 +221,6 @@ impl ShardedDb {
         }
         db.adopt_orphans()?;
         Ok(db)
-    }
-
-    /// Whether `path` looks like a sharded database: an existing
-    /// directory (a plain `VideoDb` is always a single file).
-    pub fn is_sharded_path(path: &Path) -> bool {
-        path.is_dir()
     }
 
     /// Opens one shard file, indexing its clips, or quarantines it.
@@ -275,26 +285,33 @@ impl ShardedDb {
 
     /// Appends one route record and syncs the manifest. The sync is
     /// the crash-ordering point: the route must be durable before the
-    /// shard file it names exists.
+    /// shard file it names exists. A single-file view only records the
+    /// route in memory.
     fn append_route(&mut self, id: &ShardId, file: &str) -> Result<()> {
-        let mut w = Writer::new();
-        w.put_u8(MF_ROUTE);
-        w.put_str(&id.camera)?;
-        w.put_u64(id.bucket);
-        w.put_str(file)?;
-        self.manifest.append(&w.into_bytes())?;
-        self.manifest.sync()?;
+        if let Some(manifest) = &mut self.manifest {
+            let mut w = Writer::new();
+            w.put_u8(MF_ROUTE);
+            w.put_str(&id.camera)?;
+            w.put_u64(id.bucket);
+            w.put_str(file)?;
+            manifest.append(&w.into_bytes())?;
+            manifest.sync()?;
+        }
         self.routes.insert(id.clone(), file.to_string());
         Ok(())
     }
 
     /// The shard a write for `id` routes to, creating the route (and
-    /// then the shard file) if this is the first clip for the cell.
+    /// then the shard file) if this is the first clip for the cell. A
+    /// single-file view routes every cell to its one file.
     fn shard_for_write(&mut self, id: &ShardId) -> Result<&mut VideoDb> {
         let file = match self.routes.get(id) {
             Some(f) => f.clone(),
             None => {
-                let f = id.file_name();
+                let f = match self.manifest {
+                    Some(_) => id.file_name(),
+                    None => SINGLE_FILE_SHARD.to_string(),
+                };
                 self.append_route(id, &f)?;
                 f
             }
@@ -316,8 +333,7 @@ impl ShardedDb {
     /// The open shard holding `clip_id`, for read-side routing.
     /// `None` when the clip is unknown or its shard is quarantined.
     pub fn shard_for_clip_mut(&mut self, clip_id: u64) -> Option<&mut VideoDb> {
-        let file = self.clip_route.get(&clip_id)?.clone();
-        self.shards.get_mut(&file)
+        self.routed_shard(clip_id).ok()
     }
 
     /// The shard file holding `clip_id`, if the clip is known — the
@@ -328,8 +344,10 @@ impl ShardedDb {
 
     /// Resolves `clip_id` to its shard, with a typed error: unknown
     /// clips are [`DbError::ClipNotFound`]; clips routed into a
-    /// quarantined shard are [`DbError::ShardUnavailable`].
-    fn routed_shard(&mut self, clip_id: u64) -> Result<&mut VideoDb> {
+    /// quarantined shard are [`DbError::ShardUnavailable`]. Clip-scoped
+    /// callers (index build, retrieval sessions, frame export) run the
+    /// per-shard [`VideoDb`] API on the result.
+    pub fn routed_shard(&mut self, clip_id: u64) -> Result<&mut VideoDb> {
         let Some(file) = self.clip_route.get(&clip_id).cloned() else {
             return Err(DbError::ClipNotFound(clip_id));
         };
@@ -351,9 +369,8 @@ impl ShardedDb {
             return Err(DbError::DuplicateClip(clip_id));
         }
         let id = ShardId::for_meta(&bundle.meta, self.bucket_secs);
-        let file = self.routes.get(&id).cloned().unwrap_or_else(|| id.file_name());
         self.shard_for_write(&id)?.put_clip(bundle)?;
-        self.clip_route.insert(clip_id, file);
+        self.clip_route.insert(clip_id, self.routes[&id].clone());
         Ok(())
     }
 
@@ -477,7 +494,9 @@ impl ShardedDb {
 
     /// Syncs the manifest and every healthy shard.
     pub fn sync(&mut self) -> Result<()> {
-        self.manifest.sync()?;
+        if let Some(manifest) = &mut self.manifest {
+            manifest.sync()?;
+        }
         for shard in self.shards.values_mut() {
             shard.sync()?;
         }
@@ -537,14 +556,10 @@ impl ShardedDb {
         agg
     }
 
-    /// The manifest log's own recovery report.
-    pub fn manifest_recovery(&self) -> &RecoveryReport {
-        self.manifest.recovery_report()
-    }
-
     /// Total log bytes: manifest plus every healthy shard.
     pub fn log_size(&self) -> u64 {
-        self.manifest.len() + self.shards.values().map(|s| s.log_size()).sum::<u64>()
+        self.manifest.as_ref().map_or(0, Log::len)
+            + self.shards.values().map(|s| s.log_size()).sum::<u64>()
     }
 
     /// Number of open (healthy) shards.
@@ -587,29 +602,10 @@ impl ShardedDb {
         out
     }
 
-    /// Iterates healthy shards as `(file, db)`, in file order. The
-    /// query layer uses this to build per-shard datasets for parallel
-    /// scatter-gather.
-    pub fn shards_mut(&mut self) -> impl Iterator<Item = (&str, &mut VideoDb)> {
-        self.shards.iter_mut().map(|(f, s)| (f.as_str(), s))
-    }
-
-    /// Clip ids per healthy shard, in shard order — the deterministic
-    /// fan-out plan for a cross-shard query.
-    pub fn shard_clip_ids(&self) -> Vec<(String, Vec<u64>)> {
-        let mut out = Vec::with_capacity(self.shards.len());
-        for (file, shard) in &self.shards {
-            let mut ids: Vec<u64> =
-                shard.list_clips().iter().map(|m| m.clip_id).collect();
-            ids.sort_unstable();
-            out.push((file.clone(), ids));
-        }
-        out
-    }
-
-    /// The manifest's routing table, one entry per `(camera, bucket)`
-    /// key, in route order. This is the query planner's prune input:
-    /// the camera and time-bucket of every shard — healthy or
+    /// The routing table, one entry per `(camera, bucket)` key, in
+    /// route order (derived from clip metadata for a single-file view).
+    /// This is the query planner's prune input: the camera and
+    /// time-bucket of every shard — healthy or
     /// quarantined — are known from the manifest alone, and healthy
     /// routes carry just enough per-clip metadata (`start_time`,
     /// `frame_count`) to decide time-overlap exactly, without touching
@@ -714,214 +710,35 @@ pub struct ClipStub {
     pub frame_count: u32,
 }
 
-/// A database handle that is either a single-file [`VideoDb`] or a
-/// sharded directory, so the CLI and the retrieval service open both
-/// through one path. Old single-file archives keep working unchanged;
-/// a directory is served shard-aware.
-pub enum AnyDb {
-    /// One single-file database (the PR-3 format, unchanged).
-    Single(VideoDb),
-    /// A sharded directory.
-    Sharded(ShardedDb),
-}
+/// Compatibility name for [`ShardedDb`], which is now the only archive
+/// handle. The end-to-end benchmark (`e2e-bench/`) opens archives
+/// through this name, so it stays as an alias.
+pub type AnyDb = ShardedDb;
 
-impl AnyDb {
-    /// Opens `path` as a sharded directory if it is one, else as a
-    /// single-file database (creating the file if absent — exactly the
-    /// old behaviour).
-    pub fn open(path: &Path) -> Result<AnyDb> {
-        if ShardedDb::is_sharded_path(path) {
-            Ok(AnyDb::Sharded(ShardedDb::open(path)?))
-        } else {
-            Ok(AnyDb::Single(VideoDb::open(path)?))
+/// A single-file database as a manifest-less one-shard view: the file
+/// is the one shard, named [`SINGLE_FILE_SHARD`], and its `(camera,
+/// bucket)` routes are derived in memory from clip metadata at
+/// [`DEFAULT_TIME_BUCKET_SECS`] and never persisted. Every write lands
+/// in that one file; nothing about its on-disk format changes.
+impl From<VideoDb> for ShardedDb {
+    fn from(db: VideoDb) -> ShardedDb {
+        let file = SINGLE_FILE_SHARD.to_string();
+        let bucket_secs = DEFAULT_TIME_BUCKET_SECS;
+        let mut routes = BTreeMap::new();
+        let mut clip_route = BTreeMap::new();
+        for meta in db.list_clips() {
+            routes.insert(ShardId::for_meta(meta, bucket_secs), file.clone());
+            clip_route.insert(meta.clip_id, file.clone());
         }
-    }
-
-    /// The single `VideoDb` that owns `clip_id`: the whole database
-    /// when unsharded, the routed shard otherwise. This is how
-    /// clip-scoped callers (index build, retrieval sessions) reuse the
-    /// unsharded code paths verbatim.
-    pub fn db_for_clip_mut(&mut self, clip_id: u64) -> Result<&mut VideoDb> {
-        match self {
-            AnyDb::Single(db) => Ok(db),
-            AnyDb::Sharded(db) => db.routed_shard(clip_id),
+        ShardedDb {
+            dir: PathBuf::new(),
+            manifest: None,
+            bucket_secs,
+            routes,
+            shards: BTreeMap::from([(file, db)]),
+            quarantined: BTreeMap::new(),
+            clip_route,
         }
-    }
-
-    /// Stores a clip bundle (routed by shard key when sharded).
-    pub fn put_clip(&mut self, bundle: &ClipBundle) -> Result<()> {
-        match self {
-            AnyDb::Single(db) => db.put_clip(bundle),
-            AnyDb::Sharded(db) => db.put_clip(bundle),
-        }
-    }
-
-    /// Loads a clip bundle.
-    pub fn load_clip(&mut self, clip_id: u64) -> Result<Arc<ClipBundle>> {
-        match self {
-            AnyDb::Single(db) => db.load_clip(clip_id),
-            AnyDb::Sharded(db) => db.load_clip(clip_id),
-        }
-    }
-
-    /// Loads the freshest index segment for a clip, if any.
-    pub fn load_index(&mut self, clip_id: u64) -> Result<Option<IndexSegment>> {
-        match self {
-            AnyDb::Single(db) => db.load_index(clip_id),
-            AnyDb::Sharded(db) => db.load_index(clip_id),
-        }
-    }
-
-    /// Persists a retrieval session.
-    pub fn put_session(&mut self, session: &SessionRow) -> Result<()> {
-        match self {
-            AnyDb::Single(db) => db.put_session(session),
-            AnyDb::Sharded(db) => db.put_session(session),
-        }
-    }
-
-    /// Every session recorded against a clip.
-    pub fn sessions_for_clip(&mut self, clip_id: u64) -> Result<Vec<SessionRow>> {
-        match self {
-            AnyDb::Single(db) => db.sessions_for_clip(clip_id),
-            AnyDb::Sharded(db) => db.sessions_for_clip(clip_id),
-        }
-    }
-
-    /// Number of stored sessions.
-    pub fn session_count(&self) -> usize {
-        match self {
-            AnyDb::Single(db) => db.session_count(),
-            AnyDb::Sharded(db) => db.session_count(),
-        }
-    }
-
-    /// Highest stored session id (`0` when none).
-    pub fn max_session_id(&self) -> u64 {
-        match self {
-            AnyDb::Single(db) => db.max_session_id(),
-            AnyDb::Sharded(db) => db.max_session_id(),
-        }
-    }
-
-    /// `(session_id, clip_id)` of every stored session record.
-    pub fn session_index(&self) -> Vec<(u64, u64)> {
-        match self {
-            AnyDb::Single(db) => db.session_index(),
-            AnyDb::Sharded(db) => db.session_index(),
-        }
-    }
-
-    /// Metadata of one clip.
-    pub fn meta(&self, clip_id: u64) -> Option<&ClipMeta> {
-        match self {
-            AnyDb::Single(db) => db.meta(clip_id),
-            AnyDb::Sharded(db) => db.meta(clip_id),
-        }
-    }
-
-    /// All clips, ordered by id.
-    pub fn list_clips(&self) -> Vec<&ClipMeta> {
-        match self {
-            AnyDb::Single(db) => db.list_clips(),
-            AnyDb::Sharded(db) => db.list_clips(),
-        }
-    }
-
-    /// Number of stored clips.
-    pub fn clip_count(&self) -> usize {
-        match self {
-            AnyDb::Single(db) => db.clip_count(),
-            AnyDb::Sharded(db) => db.clip_count(),
-        }
-    }
-
-    /// Durability point: flush and fsync everything.
-    pub fn sync(&mut self) -> Result<()> {
-        match self {
-            AnyDb::Single(db) => db.sync(),
-            AnyDb::Sharded(db) => db.sync(),
-        }
-    }
-
-    /// Verifies every record, per shard: single-file databases report
-    /// as one pseudo-shard named `"-"`.
-    pub fn verify(&mut self) -> Result<Vec<(String, VerifyReport)>> {
-        match self {
-            AnyDb::Single(db) => Ok(vec![("-".to_string(), db.verify()?)]),
-            AnyDb::Sharded(db) => db.verify(),
-        }
-    }
-
-    /// Compacts the database (each shard independently when sharded).
-    pub fn compact(&mut self) -> Result<()> {
-        match self {
-            AnyDb::Single(db) => db.compact(),
-            AnyDb::Sharded(db) => db.compact(),
-        }
-    }
-
-    /// Total log bytes.
-    pub fn log_size(&self) -> u64 {
-        match self {
-            AnyDb::Single(db) => db.log_size(),
-            AnyDb::Sharded(db) => db.log_size(),
-        }
-    }
-
-    /// Total stored index segments.
-    pub fn index_count(&self) -> usize {
-        match self {
-            AnyDb::Single(db) => db.index_count(),
-            AnyDb::Sharded(db) => db.index_count(),
-        }
-    }
-
-    /// Damage observed so far (aggregated over shards when sharded).
-    pub fn fault_report(&self) -> FaultReport {
-        match self {
-            AnyDb::Single(db) => db.fault_report(),
-            AnyDb::Sharded(db) => db.fault_report(),
-        }
-    }
-
-    /// Quarantined shards as `(file, reason)`; empty when unsharded.
-    pub fn quarantined_shards(&self) -> Vec<(String, String)> {
-        match self {
-            AnyDb::Single(_) => Vec::new(),
-            AnyDb::Sharded(db) => db.quarantined_shards(),
-        }
-    }
-
-    /// The shard file holding `clip_id`; `None` for a single-file
-    /// database (everything is one "shard") or an unknown clip.
-    pub fn shard_of_clip(&self, clip_id: u64) -> Option<&str> {
-        match self {
-            AnyDb::Single(_) => None,
-            AnyDb::Sharded(db) => db.shard_of_clip(clip_id),
-        }
-    }
-
-    /// The manifest routing table with its bucket width, for shard
-    /// pruning (see [`ShardedDb::shard_routes`]); `None` for a
-    /// single-file database, which has no manifest to prune against.
-    pub fn shard_routes(&self) -> Option<(u64, Vec<ShardRoute>)> {
-        match self {
-            AnyDb::Single(_) => None,
-            AnyDb::Sharded(db) => Some((db.bucket_secs(), db.shard_routes())),
-        }
-    }
-}
-
-impl From<VideoDb> for AnyDb {
-    fn from(db: VideoDb) -> AnyDb {
-        AnyDb::Single(db)
-    }
-}
-
-impl From<ShardedDb> for AnyDb {
-    fn from(db: ShardedDb) -> AnyDb {
-        AnyDb::Sharded(db)
     }
 }
 
@@ -1115,28 +932,21 @@ mod tests {
     }
 
     #[test]
-    fn anydb_opens_file_as_single_and_dir_as_sharded() {
-        let dir = temp_dir("anydb");
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("single.db");
-        {
-            let mut db = AnyDb::open(&file).unwrap();
-            assert!(matches!(db, AnyDb::Single(_)));
-            db.put_clip(&bundle_at(1, "cam-a", 0)).unwrap();
-            db.sync().unwrap();
-        }
-        // The same file reopens as single — old archives unchanged.
-        let mut db = AnyDb::open(&file).unwrap();
-        assert!(matches!(db, AnyDb::Single(_)));
-        assert_eq!(db.load_clip(1).unwrap().meta.clip_id, 1);
-
-        let shard_dir = dir.join("sharded");
-        std::fs::create_dir_all(&shard_dir).unwrap();
-        let mut db = AnyDb::open(&shard_dir).unwrap();
-        assert!(matches!(db, AnyDb::Sharded(_)));
+    fn single_file_view_routes_in_memory_to_its_one_shard() {
+        let mut db = ShardedDb::from(VideoDb::in_memory());
         db.put_clip(&bundle_at(1, "cam-a", 0)).unwrap();
-        assert_eq!(db.db_for_clip_mut(1).unwrap().clip_count(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
+        db.put_clip(&bundle_at(2, "cam-b", 7200)).unwrap();
+        assert_eq!(db.shard_count(), 1);
+        assert_eq!(db.shard_of_clip(2), Some(SINGLE_FILE_SHARD));
+        // Routes are derived per (camera, bucket), all naming the file.
+        let routes = db.shard_routes();
+        assert_eq!(
+            routes.iter().map(|r| (r.camera.as_str(), r.bucket)).collect::<Vec<_>>(),
+            vec![("cam-a", 0), ("cam-b", 2)]
+        );
+        assert!(routes.iter().all(|r| r.file == SINGLE_FILE_SHARD));
+        assert!(matches!(db.routed_shard(9), Err(DbError::ClipNotFound(9))));
+        assert_eq!(db.routed_shard(1).unwrap().clip_count(), 2);
     }
 
     #[test]
@@ -1179,13 +989,6 @@ mod tests {
             .expect("cam-b route");
         assert_eq!((cam_b.bucket, cam_b.file.as_str()), (2, victim.as_str()));
         assert!(matches!(&cam_b.status, RouteStatus::Quarantined { .. }));
-        // The AnyDb wrapper exposes the same view (None for single-file).
-        let any: AnyDb = db.into();
-        let (bucket_secs, routes) = any.shard_routes().expect("sharded");
-        assert_eq!(bucket_secs, 3600);
-        assert_eq!(routes.len(), 2);
-        let single: AnyDb = VideoDb::in_memory().into();
-        assert!(single.shard_routes().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

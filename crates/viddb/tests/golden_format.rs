@@ -8,7 +8,7 @@
 //! retrieval session, one tombstone for an unrelated clip id, and one
 //! two-frame video segment.
 
-use tsvr_viddb::{FrameCodec, MemStorage, VideoDb};
+use tsvr_viddb::{FrameCodec, MemStorage, SessionRow, ShardedDb, VideoDb, SINGLE_FILE_SHARD};
 
 const GOLDEN: &[u8] = include_bytes!("fixtures/golden_tsvrdb01.db");
 
@@ -105,4 +105,60 @@ fn golden_video_segment_decodes_pixel_for_pixel() {
     assert_eq!(frames[0].1.pixels, vec![codec.reconstruct(10); 12]);
     assert_eq!(frames[1].0, 1);
     assert_eq!(frames[1].1.pixels, vec![codec.reconstruct(12); 12]);
+}
+
+/// A legacy single-file archive opens through [`ShardedDb::open`] as a
+/// manifest-less one-shard view: it decodes exactly like the direct
+/// `VideoDb` path, verifies as the one shard `-`, takes new writes in
+/// the same file, and never grows a manifest or shard files beside it.
+#[test]
+fn golden_file_opens_as_one_shard_view() {
+    let dir = std::env::temp_dir().join(format!("tsvr-golden-view-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("golden.db");
+    std::fs::write(&path, GOLDEN).unwrap();
+
+    let mut direct = open_golden();
+    let mut view = ShardedDb::open(&path).unwrap();
+    let ids: Vec<u64> = direct.list_clips().iter().map(|m| m.clip_id).collect();
+    assert_eq!(view.list_clips().iter().map(|m| m.clip_id).collect::<Vec<_>>(), ids);
+    for id in ids {
+        assert_eq!(view.meta(id), direct.meta(id));
+        assert_eq!(*view.load_clip(id).unwrap(), *direct.load_clip(id).unwrap());
+        assert_eq!(view.load_index(id).unwrap(), direct.load_index(id).unwrap());
+        assert_eq!(view.sessions_for_clip(id).unwrap(), direct.sessions_for_clip(id).unwrap());
+    }
+    let reports = view.verify().unwrap();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].0, SINGLE_FILE_SHARD);
+    assert_eq!(reports[0].1, direct.verify().unwrap());
+
+    // New writes land in the same file and survive a reopen.
+    let mut bundle = (*direct.load_clip(7).unwrap()).clone();
+    bundle.meta.clip_id = 8;
+    bundle.meta.camera = "cam-5".into();
+    let session = SessionRow {
+        session_id: 2,
+        clip_id: 8,
+        query: "u_turn".into(),
+        learner: "MIL_OneClassSVM".into(),
+        feedback: vec![vec![(0, true)]],
+        accuracies: vec![1.0],
+    };
+    view.put_clip(&bundle).unwrap();
+    view.put_session(&session).unwrap();
+    view.sync().unwrap();
+    drop(view);
+    let mut reopened = ShardedDb::open(&path).unwrap();
+    assert_eq!(*reopened.load_clip(8).unwrap(), bundle);
+    assert_eq!(reopened.sessions_for_clip(8).unwrap(), vec![session]);
+    assert_eq!(reopened.load_clip(7).unwrap().meta.name, "golden");
+    let mut entries: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    assert_eq!(entries, vec!["golden.db".to_string()], "no MANIFEST or shard files");
+    let _ = std::fs::remove_dir_all(&dir);
 }

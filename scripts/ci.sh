@@ -14,6 +14,13 @@ cargo test -q --workspace
 echo "==> TSVR_THREADS=1 cargo test -q --workspace (forced-sequential runtime)"
 TSVR_THREADS=1 cargo test -q --workspace
 
+# The end-to-end benchmark is its own package outside the workspace;
+# its smoke test builds it against the current crates and checks that
+# every metric BENCHMARK.json names is emitted with a finite value, so
+# an API change cannot silently break the benchmark.
+echo "==> e2e benchmark smoke test"
+cargo test --release --offline --manifest-path e2e-bench/Cargo.toml
+
 # The crash-consistency sweep runs with the full workspace tests above;
 # this rerun pins the fast-mode path (used for quick local iteration)
 # so a regression in the env-var gate cannot slip through. Budget: <30s.

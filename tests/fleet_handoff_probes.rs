@@ -11,8 +11,8 @@
 //! the process-global counters mid-measurement.
 
 use tsvr::core::{
-    bags_from_dataset, bundle_from_clip, dataset_from_segment, heuristic_topk, prepare_sim,
-    segment_from_dataset, sharded_heuristic_topk, ClipWindows, PipelineOptions, ShardWindows,
+    bags_from_dataset, bundle_from_clip, dataset_from_segment, prepare_sim, rank_topk,
+    segment_from_dataset, ClipWindows, PipelineOptions, Scorer, ShardWindows,
 };
 use tsvr::sim::fleet;
 use tsvr::sim::World;
@@ -85,19 +85,20 @@ fn handoff_query_scatters_across_both_camera_shards() {
     }
 
     let scattered_before = tsvr_obs::counter!("query.scatter.shards").get();
-    let sharded = sharded_heuristic_topk(&shards, 20);
+    let sharded = rank_topk(&shards, Scorer::Heuristic, 20);
     assert_eq!(
         tsvr_obs::counter!("query.scatter.shards").get(),
         scattered_before + shards.len() as u64,
         "query did not fan out across both shards"
     );
 
-    // Scatter-gather must agree byte for byte with the flat merge.
+    // Scatter-gather must agree byte for byte with the one-shard merge.
     let flat: Vec<ClipWindows> = shards
         .iter()
         .flat_map(|s| s.clips.iter().cloned())
         .collect();
-    assert_eq!(sharded, heuristic_topk(&flat, 20));
+    let one_shard = [ShardWindows { shard: "all".into(), clips: flat }];
+    assert_eq!(sharded, rank_topk(&one_shard, Scorer::Heuristic, 20));
     assert!(!sharded.is_empty());
 
     let _ = std::fs::remove_dir_all(&dir);

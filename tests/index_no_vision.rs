@@ -8,8 +8,8 @@
 //! test can touch the process-global vision counters mid-measurement.
 
 use tsvr::core::{
-    bags_from_dataset, build_index, bundle_from_clip, heuristic_topk, load_index, prepare_clip,
-    ClipWindows, PipelineOptions,
+    bags_from_dataset, build_index, bundle_from_clip, load_index, prepare_clip, rank_topk,
+    ClipWindows, PipelineOptions, Scorer, ShardWindows,
 };
 use tsvr::sim::Scenario;
 use tsvr::viddb::{ClipMeta, VideoDb};
@@ -47,13 +47,11 @@ fn index_served_query_does_no_vision_or_segmentation_work() {
 
     // Serve the query entirely from the stored segment.
     let ds = load_index(&mut db, 1, &wcfg).unwrap().expect("fresh index");
-    let top = heuristic_topk(
-        &[ClipWindows {
-            clip_id: 1,
-            bags: bags_from_dataset(&ds),
-        }],
-        5,
-    );
+    let clips = vec![ClipWindows {
+        clip_id: 1,
+        bags: bags_from_dataset(&ds),
+    }];
+    let top = rank_topk(&[ShardWindows { shard: "-".into(), clips }], Scorer::Heuristic, 5);
     assert!(!top.is_empty());
 
     assert_eq!(

@@ -10,8 +10,8 @@
 
 use std::sync::Mutex;
 use tsvr::core::{
-    bags_from_dataset, build_index, bundle_from_clip, heuristic_topk, learner_topk, load_index,
-    prepare_clip, ClipWindows, EventQuery, LearnerKind, PipelineOptions, RankedWindow,
+    bags_from_dataset, build_index, bundle_from_clip, load_index, prepare_clip, rank_topk,
+    ClipWindows, EventQuery, LearnerKind, PipelineOptions, RankedWindow, Scorer, ShardWindows,
 };
 use tsvr::sim::Scenario;
 use tsvr::trajectory::{Dataset, WindowConfig};
@@ -31,6 +31,11 @@ fn meta(clip_id: u64) -> ClipMeta {
         width: 320,
         height: 240,
     }
+}
+
+/// Heuristic top 10 over `clips` as one shard.
+fn heuristic_rank(clips: Vec<ClipWindows>) -> Vec<RankedWindow> {
+    rank_topk(&[ShardWindows { shard: "-".into(), clips }], Scorer::Heuristic, 10)
 }
 
 /// Stores `n` prepared clips (ids 1..=n) with their feature indexes.
@@ -105,20 +110,14 @@ fn index_serves_cold_extraction_bits_across_a_reload() {
     assert_eq!(dataset_bits(&served), dataset_bits(&clip.dataset));
 
     // And the ranking computed off it is the cold ranking, bit for bit.
-    let cold = heuristic_topk(
-        &[ClipWindows {
-            clip_id: 1,
-            bags: bags_from_dataset(&clip.dataset),
-        }],
-        10,
-    );
-    let warm = heuristic_topk(
-        &[ClipWindows {
-            clip_id: 1,
-            bags: bags_from_dataset(&served),
-        }],
-        10,
-    );
+    let cold = heuristic_rank(vec![ClipWindows {
+        clip_id: 1,
+        bags: bags_from_dataset(&clip.dataset),
+    }]);
+    let warm = heuristic_rank(vec![ClipWindows {
+        clip_id: 1,
+        bags: bags_from_dataset(&served),
+    }]);
     assert_eq!(ranking_bits(&cold), ranking_bits(&warm));
     let _ = std::fs::remove_file(&path);
 }
@@ -136,10 +135,11 @@ fn cross_clip_topk_is_thread_count_invariant() {
                 bags: bags_from_dataset(&load_index(db, id, &wcfg).unwrap().expect("fresh")),
             })
             .collect();
-        let heur = heuristic_topk(&clips, 12);
         let all: Vec<tsvr::mil::Bag> = clips.iter().flat_map(|c| c.bags.clone()).collect();
         let learner = LearnerKind::paper_weighted_rf().build_for(&all);
-        let learned = learner_topk(&clips, &learner, 12);
+        let shards = [ShardWindows { shard: "-".into(), clips }];
+        let heur = rank_topk(&shards, Scorer::Heuristic, 12);
+        let learned = rank_topk(&shards, Scorer::Learner(&learner), 12);
         (ranking_bits(&heur), ranking_bits(&learned))
     };
 
