@@ -12,12 +12,15 @@
 //!   features), convert to bags, and rank.
 //!
 //! Both paths produce identical rankings — the index stores raw α rows
-//! via `f64::to_bits` — so the timings compare the same computation.
+//! via `f64::to_bits` — so the timings compare the same computation;
+//! the report's `rankings_bit_identical` check records it. The gate is
+//! an index-served query at least 2× faster than cold extraction, in
+//! fast mode too.
 //!
 //! `TSVR_BENCH_FAST=1` switches to the small tunnel clip and the
 //! harness's single-batch smoke mode (used by `scripts/ci.sh`).
 
-use tsvr_bench::harness::Bencher;
+use tsvr_bench::harness::{fast_mode, Bencher, Report};
 use tsvr_bench::PAPER_SEED;
 use tsvr_core::{
     bags_from_dataset, build_index, bundle_from_clip, load_index, prepare_clip, rank_topk,
@@ -31,8 +34,7 @@ use tsvr_viddb::{ClipMeta, VideoDb};
 const TOP_K: usize = 20;
 
 fn main() {
-    let fast = std::env::var_os("TSVR_BENCH_FAST").is_some_and(|v| v != "0");
-    let (scenario, clip_name) = if fast {
+    let (scenario, clip_name) = if fast_mode() {
         (Scenario::tunnel_small(PAPER_SEED), "tunnel_small")
     } else {
         (
@@ -88,45 +90,29 @@ fn main() {
         })
         .ns_per_iter;
 
-    // Sanity: the two paths rank identically, bit for bit.
+    // The two paths must rank identically, bit for bit.
     let served = load_index(&mut db, 1, &wcfg).unwrap().expect("index fresh");
     let (a, c) = (rank(&served), rank(&clip.dataset));
-    assert_eq!(a.len(), c.len());
-    for (x, y) in a.iter().zip(&c) {
-        assert_eq!(
-            (x.score.to_bits(), x.clip_id, x.window_index),
-            (y.score.to_bits(), y.clip_id, y.window_index),
-            "index-served ranking diverged from cold extraction"
-        );
-    }
+    let identical = a.len() == c.len()
+        && a.iter().zip(&c).all(|(x, y)| {
+            (x.score.to_bits(), x.clip_id, x.window_index)
+                == (y.score.to_bits(), y.clip_id, y.window_index)
+        });
 
     let speedup = cold_ns / indexed_ns;
     let target = 2.0;
-    let pass = speedup >= target;
-    let note = if pass {
-        format!("PASS: index-served query {speedup:.1}x faster than cold extraction")
-    } else {
-        format!("FAIL: index-served speedup {speedup:.1}x < {target}x")
-    };
-    println!("cold {cold_ns:.0} ns, indexed {indexed_ns:.0} ns — {note}");
-
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("index".into())),
-        (
-            "workload".into(),
+    println!("cold {cold_ns:.0} ns, indexed {indexed_ns:.0} ns: {speedup:.1}x (target {target}x)");
+    Report::new("index")
+        .mode(
+            "workload",
             Json::Str(format!(
                 "heuristic top-{TOP_K} on {clip_name}: full extraction vs stored TSIX segment"
             )),
-        ),
-        ("fast_mode".into(), Json::Bool(fast)),
-        ("cold_ns".into(), Json::Num(cold_ns)),
-        ("indexed_ns".into(), Json::Num(indexed_ns)),
-        ("speedup".into(), Json::Num(speedup)),
-        ("target_speedup".into(), Json::Num(target)),
-        ("pass".into(), Json::Bool(pass)),
-        ("note".into(), Json::Str(note)),
-    ]);
-    let path = "BENCH_index.json";
-    std::fs::write(path, format!("{doc}\n")).expect("write BENCH_index.json");
-    println!("wrote {path}");
+        )
+        .metric("cold_ns", "ns", cold_ns)
+        .metric("indexed_ns", "ns", indexed_ns)
+        .metric("speedup", "x", speedup)
+        .metric("target_speedup", "x", target)
+        .identity("rankings_bit_identical", identical)
+        .finish(speedup >= target);
 }

@@ -24,7 +24,7 @@
 //! on identity (CI smoke); the full run also gates on measured
 //! speedups.
 
-use std::time::Instant;
+use tsvr_bench::harness::{fast_mode, host, median, time_ns, Report};
 use tsvr_core::median_heuristic_gamma;
 use tsvr_mil::session::rank_scores;
 use tsvr_mil::{Bag, Instance, Learner, OcSvmMilLearner};
@@ -32,18 +32,6 @@ use tsvr_obs::json::Json;
 use tsvr_sim::Vec2;
 use tsvr_svm::{Kernel, OneClassModel, OneClassSvm};
 use tsvr_trajectory::dtw::dtw_distance;
-
-/// Times one invocation in nanoseconds.
-fn time_one<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let out = f();
-    (start.elapsed().as_nanos() as f64, out)
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    xs[xs.len() / 2]
-}
 
 /// Deterministic xorshift feature vectors in the pipeline's dim-9
 /// normalized range.
@@ -197,7 +185,7 @@ fn drive_rounds(
 ) -> (f64, Vec<usize>) {
     let mut learn_ns = 0.0;
     for fb in schedule {
-        let (ns, ()) = time_one(|| learner.learn(bags, fb));
+        let (ns, ()) = time_ns(|| learner.learn(bags, fb));
         learn_ns += ns;
     }
     let ranking = rank_scores(bags, &learner.score_all(bags));
@@ -205,16 +193,13 @@ fn drive_rounds(
 }
 
 fn main() {
-    let fast = std::env::var_os("TSVR_BENCH_FAST").is_some_and(|v| v != "0");
+    let fast = fast_mode();
     let (rounds, gram_n, probe_n, dtw_len, db_bags, db_hot) = if fast {
         (3usize, 64usize, 200usize, 60usize, 80usize, 24usize)
     } else {
         (7usize, 160usize, 2000usize, 1024usize, 240usize, 64usize)
     };
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let many = available.max(4);
+    let many = host().available_parallelism.max(4);
     eprintln!(
         "kernels bench: {rounds} paired rounds, gram n={gram_n}, {probe_n} probes, \
          dtw len={dtw_len}, {db_bags}-bag database ({db_hot} relevant), threads 1 vs {many}"
@@ -231,8 +216,8 @@ fn main() {
     let mut gram_soa_ns = Vec::new();
     let mut gram_identical = true;
     for _ in 0..rounds {
-        let (t_naive, g_naive) = time_one(|| naive_gram(kernel, &gram_data));
-        let (t_soa, g_soa) = time_one(|| kernel.gram(&gram_data));
+        let (t_naive, g_naive) = time_ns(|| naive_gram(kernel, &gram_data));
+        let (t_soa, g_soa) = time_ns(|| kernel.gram(&gram_data));
         gram_identical &= assert_bits_eq(&g_naive, &g_soa, "gram");
         gram_naive_ns.push(t_naive);
         gram_soa_ns.push(t_soa);
@@ -254,10 +239,10 @@ fn main() {
     let mut dec_identical = true;
     for _ in 0..rounds {
         tsvr_par::set_threads(1);
-        let (t_naive, d_naive) = time_one(|| naive_decision_batch(&model, &probes));
-        let (t_1, d_1) = time_one(|| model.decision_batch(&probes));
+        let (t_naive, d_naive) = time_ns(|| naive_decision_batch(&model, &probes));
+        let (t_1, d_1) = time_ns(|| model.decision_batch(&probes));
         tsvr_par::set_threads(many);
-        let (t_n, d_n) = time_one(|| model.decision_batch(&probes));
+        let (t_n, d_n) = time_ns(|| model.decision_batch(&probes));
         dec_identical &= assert_bits_eq(&d_naive, &d_1, "decision threads=1");
         dec_identical &= assert_bits_eq(&d_naive, &d_n, "decision threads=n");
         dec_naive_ns.push(t_naive);
@@ -294,8 +279,8 @@ fn main() {
     let mut dtw_roll_ns = Vec::new();
     let mut dtw_identical = true;
     for _ in 0..rounds {
-        let (t_full, d_full) = time_one(|| all_pairs(naive_dtw));
-        let (t_roll, d_roll) = time_one(|| all_pairs(dtw_distance));
+        let (t_full, d_full) = time_ns(|| all_pairs(naive_dtw));
+        let (t_roll, d_roll) = time_ns(|| all_pairs(dtw_distance));
         dtw_identical &= assert_bits_eq(&d_full, &d_roll, "dtw");
         dtw_naive_ns.push(t_full);
         dtw_roll_ns.push(t_roll);
@@ -342,67 +327,52 @@ fn main() {
         fresh_ns_v.push(t_fresh);
         memo_ns_v.push(t_memo);
     }
+    tsvr_par::set_threads(0); // restore env/auto selection
     let memo_ns = median(&mut memo_ns_v);
     let memo_ns_baseline = median(&mut fresh_ns_v);
     let memo_speedup = memo_ns_baseline / memo_ns;
     println!("memo 4-round retrain: from-scratch {memo_ns_baseline:.0}ns -> memoized {memo_ns:.0}ns ({memo_speedup:.2}x), identical={memo_identical}");
 
-    let identical = gram_identical && dec_identical && dtw_identical && memo_identical;
-    // Identity always gates. The full run also gates on measured wins:
-    // the memoized retrain (the issue's per-round re-rank latency) must
-    // beat the recorded from-scratch baseline, and no component may
-    // regress beyond noise.
+    // Identity always gates (through the report). The full run also
+    // gates on measured wins: the memoized retrain (the per-round
+    // re-rank latency) must beat the recorded from-scratch baseline,
+    // and no component may regress beyond noise.
     // The dtw gate is a regression guard only: the rolling rewrite is
     // a memory-footprint change (O(m) resident vs O(n·m)) and times
     // neutral where the local sqrt dominates.
-    let pass = if fast {
-        identical
-    } else {
-        identical
-            && memo_speedup >= 1.10
+    let gates = fast
+        || (memo_speedup >= 1.10
             && gram_speedup >= 1.0
             && decision_speedup >= 1.0
-            && dtw_speedup >= 0.85
-    };
-    let note = format!(
-        "{}: identity={identical}, gram {gram_speedup:.2}x, decision {decision_speedup:.2}x, \
-         dtw {dtw_speedup:.2}x, memoized retrain {memo_speedup:.2}x vs from-scratch baseline",
-        if pass { "PASS" } else { "FAIL" }
-    );
-    println!("{note}");
+            && dtw_speedup >= 0.85);
 
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("kernels".into())),
-        (
-            "workload".into(),
+    Report::new("kernels")
+        .mode(
+            "workload",
             Json::Str(format!(
                 "gram/decision/dtw micro + 4-round ocsvm retrain on a \
                  {db_bags}-bag synthetic database ({db_hot} relevant)"
             )),
-        ),
-        ("fast_mode".into(), Json::Bool(fast)),
-        ("rounds".into(), Json::Num(rounds as f64)),
-        ("available_parallelism".into(), Json::Num(available as f64)),
-        ("gram_n".into(), Json::Num(gram_n as f64)),
-        ("gram_ns_naive".into(), Json::Num(gram_ns_naive)),
-        ("gram_ns_soa".into(), Json::Num(gram_ns_soa)),
-        ("gram_speedup".into(), Json::Num(gram_speedup)),
-        ("decision_probes".into(), Json::Num(probe_n as f64)),
-        ("decision_ns_naive".into(), Json::Num(decision_ns_naive)),
-        ("decision_ns_threads_1".into(), Json::Num(decision_ns_1)),
-        ("decision_ns_threads_n".into(), Json::Num(decision_ns_n)),
-        ("decision_speedup".into(), Json::Num(decision_speedup)),
-        ("dtw_ns_naive".into(), Json::Num(dtw_ns_naive)),
-        ("dtw_ns_rolling".into(), Json::Num(dtw_ns_rolling)),
-        ("dtw_speedup".into(), Json::Num(dtw_speedup)),
-        ("memo_ns_baseline".into(), Json::Num(memo_ns_baseline)),
-        ("memo_ns".into(), Json::Num(memo_ns)),
-        ("memo_speedup".into(), Json::Num(memo_speedup)),
-        ("identical".into(), Json::Bool(identical)),
-        ("pass".into(), Json::Bool(pass)),
-        ("note".into(), Json::Str(note)),
-    ]);
-    let path = "BENCH_kernels.json";
-    std::fs::write(path, format!("{doc}\n")).expect("write BENCH_kernels.json");
-    println!("wrote {path}");
+        )
+        .mode("rounds", Json::Num(rounds as f64))
+        .mode("gram_n", Json::Num(gram_n as f64))
+        .mode("decision_probes", Json::Num(probe_n as f64))
+        .metric("gram_ns_naive", "ns", gram_ns_naive)
+        .metric("gram_ns_soa", "ns", gram_ns_soa)
+        .metric("gram_speedup", "x", gram_speedup)
+        .metric("decision_ns_naive", "ns", decision_ns_naive)
+        .metric("decision_ns_threads_1", "ns", decision_ns_1)
+        .metric("decision_ns_threads_n", "ns", decision_ns_n)
+        .metric("decision_speedup", "x", decision_speedup)
+        .metric("dtw_ns_naive", "ns", dtw_ns_naive)
+        .metric("dtw_ns_rolling", "ns", dtw_ns_rolling)
+        .metric("dtw_speedup", "x", dtw_speedup)
+        .metric("memo_ns_baseline", "ns", memo_ns_baseline)
+        .metric("memo_ns", "ns", memo_ns)
+        .metric("memo_speedup", "x", memo_speedup)
+        .identity("gram_bit_identical", gram_identical)
+        .identity("decision_bit_identical", dec_identical)
+        .identity("dtw_bit_identical", dtw_identical)
+        .identity("memo_rankings_identical", memo_identical)
+        .finish(gates);
 }

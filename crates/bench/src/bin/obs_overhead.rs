@@ -23,24 +23,18 @@
 //! `--no-default-features` build the probes are compiled out entirely
 //! and all timings coincide.
 
-use std::time::Instant;
-
+use tsvr_bench::harness::{fast_mode, median, time_ns, Report};
 use tsvr_bench::{clip1, paper_session, PAPER_SEED};
 use tsvr_core::{prepare_clip, run_session, EventQuery, LearnerKind, PipelineOptions};
 use tsvr_obs::json::Json;
 use tsvr_sim::Scenario;
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
 
 fn main() {
     // The paper's clip 1 at the paper's protocol: probe cost is a fixed
     // handful of atomics per round, so it must be measured against a
     // realistically sized session, not a toy one. `TSVR_BENCH_FAST=1`
     // (scripts/ci.sh) swaps in the small tunnel clip for a smoke run.
-    let fast = std::env::var_os("TSVR_BENCH_FAST").is_some_and(|v| v != "0");
+    let fast = fast_mode();
     let clip = if fast {
         eprintln!("preparing tunnel_small (fast mode)...");
         prepare_clip(
@@ -61,20 +55,15 @@ fn main() {
         )
     };
 
-    let mut plain = || {
+    let plain = || {
         std::hint::black_box(workload());
     };
-    let mut traced_run = || {
+    let traced_run = || {
         // Worst-case serve configuration: the iteration is a traced
         // request (root span, nested span events, flight recorder) and
         // the slowlog threshold retains every finished trace.
         let _root = tsvr_obs::tspan!("bench.session");
         std::hint::black_box(workload());
-    };
-    let time_one = |f: &mut dyn FnMut()| -> f64 {
-        let t0 = Instant::now();
-        f();
-        t0.elapsed().as_nanos() as f64
     };
 
     // Warm up caches, the allocator, and the tracer.
@@ -91,23 +80,23 @@ fn main() {
     let (mut d_on, mut d_traced, mut base) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..rounds {
         tsvr_obs::set_enabled(false);
-        let off1 = time_one(&mut plain);
+        let off1 = time_ns(plain).0;
         tsvr_obs::set_enabled(true);
-        let on = time_one(&mut plain);
+        let on = time_ns(plain).0;
         tsvr_obs::trace::set_slow_threshold_ns(0);
-        let traced = time_one(&mut traced_run);
+        let traced = time_ns(traced_run).0;
         tsvr_obs::trace::set_slow_threshold_ns(u64::MAX);
         tsvr_obs::set_enabled(false);
-        let off2 = time_one(&mut plain);
+        let off2 = time_ns(plain).0;
         tsvr_obs::set_enabled(true);
         let off = (off1 + off2) / 2.0;
         d_on.push(on - off);
         d_traced.push(traced - off);
         base.push(off);
     }
-    let off = median(base);
-    let on = off + median(d_on);
-    let traced = off + median(d_traced);
+    let off = median(&mut base);
+    let on = off + median(&mut d_on);
+    let traced = off + median(&mut d_traced);
     let overhead_pct = (on - off) / off * 100.0;
     let traced_pct = (traced - off) / off * 100.0;
 
@@ -122,31 +111,18 @@ fn main() {
     // short batches, where scheduler noise alone exceeds 2%, so it only
     // gates against gross regressions.
     let target = if fast { 25.0 } else { 2.0 };
-    let pass = overhead_pct < target && traced_pct < target;
-    if pass {
-        println!("PASS: plain and traced overhead below the {target}% target");
-    } else {
-        println!("FAIL: overhead above the {target}% target");
-    }
-
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("obs_overhead".into())),
-        (
-            "workload".into(),
+    Report::new("obs_overhead")
+        .mode(
+            "workload",
             Json::Str("ocsvm session, paper clip 1, top 20, 4 rounds".into()),
-        ),
-        ("fast_mode".into(), Json::Bool(fast)),
-        ("probes_compiled_in".into(), Json::Bool(compiled_in)),
-        ("rounds".into(), Json::Num(rounds as f64)),
-        ("ns_per_iter_enabled".into(), Json::Num(on)),
-        ("ns_per_iter_traced".into(), Json::Num(traced)),
-        ("ns_per_iter_disabled".into(), Json::Num(off)),
-        ("overhead_pct".into(), Json::Num(overhead_pct)),
-        ("overhead_traced_pct".into(), Json::Num(traced_pct)),
-        ("target_pct".into(), Json::Num(target)),
-        ("pass".into(), Json::Bool(pass)),
-    ]);
-    let path = "BENCH_obs_overhead.json";
-    std::fs::write(path, format!("{doc}\n")).expect("write BENCH_obs_overhead.json");
-    println!("wrote {path}");
+        )
+        .mode("probes_compiled_in", Json::Bool(compiled_in))
+        .mode("rounds", Json::Num(rounds as f64))
+        .metric("ns_per_iter_enabled", "ns", on)
+        .metric("ns_per_iter_traced", "ns", traced)
+        .metric("ns_per_iter_disabled", "ns", off)
+        .metric("overhead_pct", "%", overhead_pct)
+        .metric("overhead_traced_pct", "%", traced_pct)
+        .metric("target_pct", "%", target)
+        .finish(overhead_pct < target && traced_pct < target);
 }

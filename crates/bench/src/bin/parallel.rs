@@ -22,35 +22,21 @@
 //! the pool to the hardware). Any host with two or more hardware
 //! threads must show a real speedup. On top of the target, every host
 //! must satisfy the no-slowdown rule: threads=n is never more than 2%
-//! slower than threads=1 on either workload. The JSON carries
-//! `available_parallelism` and `pass_rule` so a reader can tell an
-//! algorithmic regression from a starved host.
+//! slower than threads=1 on either workload. The report's host record
+//! and `pass_rule` let a reader tell an algorithmic regression from a
+//! starved host.
 //!
 //! `TSVR_BENCH_FAST=1` switches to the small tunnel clip and fewer
 //! rounds (used by `scripts/ci.sh`).
 
-use std::time::Instant;
+use tsvr_bench::harness::{fast_mode, host, median, time_ns, Report};
 use tsvr_bench::{paper_session, PAPER_SEED};
 use tsvr_core::{prepare_clip, run_session, EventQuery, LearnerKind, PipelineOptions};
 use tsvr_obs::json::Json;
 use tsvr_sim::Scenario;
 
-/// Times one invocation in nanoseconds.
-fn time_one<T>(f: impl FnOnce() -> T) -> f64 {
-    let start = Instant::now();
-    let out = f();
-    let ns = start.elapsed().as_nanos() as f64;
-    drop(out);
-    ns
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    xs[xs.len() / 2]
-}
-
 fn main() {
-    let fast = std::env::var_os("TSVR_BENCH_FAST").is_some_and(|v| v != "0");
+    let fast = fast_mode();
     let (scenario, clip_name, rounds) = if fast {
         (Scenario::tunnel_small(PAPER_SEED), "tunnel_small", 3usize)
     } else {
@@ -60,9 +46,7 @@ fn main() {
             7usize,
         )
     };
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let available = host().available_parallelism;
     let many = available.max(4);
     eprintln!(
         "host parallelism: {available}; comparing 1 thread vs {many} threads on {clip_name} \
@@ -100,13 +84,13 @@ fn main() {
     let mut sess_ratios = Vec::with_capacity(rounds);
     for round in 0..rounds {
         tsvr_par::set_threads(1);
-        let p1 = time_one(prepare);
+        let p1 = time_ns(prepare).0;
         tsvr_par::set_threads(many);
-        let pn = time_one(prepare);
+        let pn = time_ns(prepare).0;
         tsvr_par::set_threads(1);
-        let s1 = time_one(session);
+        let s1 = time_ns(session).0;
         tsvr_par::set_threads(many);
-        let sn = time_one(session);
+        let sn = time_ns(session).0;
         eprintln!(
             "round {round}: prepare {:.0}ms -> {:.0}ms, session {:.0}ms -> {:.0}ms",
             p1 / 1e6,
@@ -151,50 +135,27 @@ fn main() {
         let no_slowdown = prep_speedup >= 0.98 && sess_speedup >= 0.98;
         (prep_speedup >= target && no_slowdown, no_slowdown)
     };
-    println!("prepare_clip: {prep_speedup:.2}x with {many} threads; session: {sess_speedup:.2}x");
-    let note = if pass && fast {
-        format!(
-            "PASS (fast smoke): prepare_clip speedup {prep_speedup:.2}x >= 0.85x on {available} \
-             hardware thread(s); tight {pass_rule} rule enforced by the full-mode run"
-        )
-    } else if pass {
-        format!(
-            "PASS ({pass_rule}): prepare_clip speedup {prep_speedup:.2}x >= {target}x and no \
-             workload >2% slower with threads on {available} hardware thread(s)"
-        )
-    } else {
-        format!(
-            "FAIL ({pass_rule}): prepare_clip {prep_speedup:.2}x (target {target}x), session \
-             {sess_speedup:.2}x, no_slowdown={no_slowdown} on {available} hardware thread(s)"
-        )
-    };
-    println!("{note}");
+    println!(
+        "prepare_clip: {prep_speedup:.2}x with {many} threads; session: {sess_speedup:.2}x \
+         ({pass_rule} target {target}x, no_slowdown={no_slowdown})"
+    );
 
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("parallel".into())),
-        (
-            "workload".into(),
+    Report::new("parallel")
+        .mode(
+            "workload",
             Json::Str(format!(
                 "prepare_clip + ocsvm session on {clip_name}, accidents query"
             )),
-        ),
-        ("fast_mode".into(), Json::Bool(fast)),
-        ("rounds".into(), Json::Num(rounds as f64)),
-        ("available_parallelism".into(), Json::Num(available as f64)),
-        ("threads_compared".into(), Json::Num(many as f64)),
-        ("prepare_ns_threads_1".into(), Json::Num(prep_1)),
-        ("prepare_ns_threads_n".into(), Json::Num(prep_n)),
-        ("prepare_speedup".into(), Json::Num(prep_speedup)),
-        ("session_ns_threads_1".into(), Json::Num(sess_1)),
-        ("session_ns_threads_n".into(), Json::Num(sess_n)),
-        ("session_speedup".into(), Json::Num(sess_speedup)),
-        ("target_speedup".into(), Json::Num(target)),
-        ("pass_rule".into(), Json::Str(pass_rule.into())),
-        ("no_slowdown_pass".into(), Json::Bool(no_slowdown)),
-        ("pass".into(), Json::Bool(pass)),
-        ("note".into(), Json::Str(note)),
-    ]);
-    let path = "BENCH_parallel.json";
-    std::fs::write(path, format!("{doc}\n")).expect("write BENCH_parallel.json");
-    println!("wrote {path}");
+        )
+        .mode("rounds", Json::Num(rounds as f64))
+        .mode("threads_compared", Json::Num(many as f64))
+        .mode("pass_rule", Json::Str(pass_rule.into()))
+        .metric("prepare_ns_threads_1", "ns", prep_1)
+        .metric("prepare_ns_threads_n", "ns", prep_n)
+        .metric("prepare_speedup", "x", prep_speedup)
+        .metric("session_ns_threads_1", "ns", sess_1)
+        .metric("session_ns_threads_n", "ns", sess_n)
+        .metric("session_speedup", "x", sess_speedup)
+        .metric("target_speedup", "x", target)
+        .finish(pass);
 }

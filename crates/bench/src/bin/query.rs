@@ -14,7 +14,7 @@
 //!    post-filtered full scan: rank every window of every clip, drop
 //!    the ones a straightforward re-implementation of the predicates
 //!    rejects, take the top k. Checked with the pool pinned to 1 and to
-//!    4 threads; any divergence aborts the bench.
+//!    4 threads; any divergence fails the report's identity check.
 //!
 //! The archive is a real on-disk [`ShardedDb`]: clips come out of the
 //! full sim→vision→trajectory pipeline, are routed into per-(camera,
@@ -25,7 +25,7 @@
 //! (timings stay informational); used by `scripts/ci.sh`.
 
 use std::time::Instant;
-use tsvr_bench::harness::Bencher;
+use tsvr_bench::harness::{fast_mode, Bencher, Report};
 use tsvr_core::{
     bags_from_bundle, build_index, bundle_from_clip, dataset_from_bundle, parse_query,
     prepare_clip, rank_topk, ClipWindows, PipelineOptions, Planner, Query, RankedWindow, Scorer,
@@ -163,7 +163,7 @@ fn run_planned(db: &mut ShardedDb, query: &Query, k: usize) -> tsvr_core::PlanOu
 }
 
 fn main() {
-    let fast = std::env::var_os("TSVR_BENCH_FAST").is_some_and(|v| v != "0");
+    let fast = fast_mode();
     let (cameras, buckets) = if fast { (2u64, 2u64) } else { (4, 3) };
     let k = 10;
 
@@ -222,10 +222,12 @@ fn main() {
             let planned = run_planned(&mut db, query, k);
             let ok = rankings_equal(&planned.ranking, &reference);
             byte_identical &= ok;
-            assert!(
-                ok,
-                "planner ranking diverged from post-filtered full scan for {query} at {threads} thread(s)"
-            );
+            if !ok {
+                eprintln!(
+                    "planner ranking diverged from post-filtered full scan for {query} at \
+                     {threads} thread(s)"
+                );
+            }
         }
     }
     tsvr_par::set_threads(0);
@@ -234,14 +236,6 @@ fn main() {
     let broad_out = run_planned(&mut db, &broad, k);
     let narrow_out = run_planned(&mut db, &narrow, k);
     let stats = narrow_out.stats;
-    assert!(
-        stats.shards_pruned > 0,
-        "narrow query pruned no shards: {stats:?}"
-    );
-    assert!(
-        stats.windows_prefiltered > 0,
-        "narrow query pre-filtered no windows: {stats:?}"
-    );
     assert!(narrow_out.degraded.is_empty(), "healthy archive degraded");
     eprintln!(
         "broad plan: {:?}\nnarrow plan: {stats:?}",
@@ -273,64 +267,33 @@ fn main() {
 
     // Fast mode is a correctness smoke: single-batch timings are too
     // noisy to gate on. Full mode requires the narrowest query to be
-    // measurably cheaper than the broad scan.
+    // measurably cheaper than the broad scan. Either way the narrow
+    // plan must have pruned shards and pre-filtered windows.
     let target = if fast { 0.0 } else { 1.3 };
-    let pass = byte_identical
-        && stats.shards_pruned > 0
-        && stats.windows_prefiltered > 0
-        && speedup >= target;
-    let note = format!(
-        "{} ({}): narrow query {speedup:.2}x cheaper than broad (target {target}x); \
-         narrow plan pruned {}/{} shards and pre-filtered {}/{} windows; \
-         planner rankings byte-identical to post-filtered full scan at 1/4 threads",
-        if pass { "PASS" } else { "FAIL" },
-        if fast { "smoke" } else { "full" },
-        stats.shards_pruned,
-        stats.shards_total,
-        stats.windows_prefiltered,
-        stats.windows_scanned,
-    );
-    println!("{note}");
-
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::Str("query".into())),
-        (
-            "workload".into(),
+    Report::new("query")
+        .mode(
+            "workload",
             Json::Str(format!(
                 "top-{k} over {} pipeline clips in {} (camera, hour) shards",
                 cameras * buckets,
                 cameras * buckets
             )),
-        ),
-        ("fast_mode".into(), Json::Bool(fast)),
-        ("narrow_expr".into(), Json::Str(narrow_expr)),
-        ("broad_ns".into(), Json::Num(broad_ns)),
-        ("narrow_camera_ns".into(), Json::Num(cam_ns)),
-        ("narrow_full_ns".into(), Json::Num(narrow_ns)),
-        ("broad_over_narrow".into(), Json::Num(speedup)),
-        ("shards_total".into(), Json::Num(stats.shards_total as f64)),
-        ("shards_pruned".into(), Json::Num(stats.shards_pruned as f64)),
-        (
-            "windows_scanned".into(),
-            Json::Num(stats.windows_scanned as f64),
-        ),
-        (
-            "windows_prefiltered".into(),
-            Json::Num(stats.windows_prefiltered as f64),
-        ),
-        (
-            "windows_ranked".into(),
-            Json::Num(stats.windows_ranked as f64),
-        ),
-        (
-            "rankings_byte_identical".into(),
-            Json::Bool(byte_identical),
-        ),
-        ("target_speedup".into(), Json::Num(target)),
-        ("pass".into(), Json::Bool(pass)),
-        ("note".into(), Json::Str(note)),
-    ]);
-    let path = "BENCH_query.json";
-    std::fs::write(path, format!("{doc}\n")).expect("write BENCH_query.json");
-    println!("wrote {path}");
+        )
+        .mode("narrow_expr", Json::Str(narrow_expr))
+        .metric("broad_ns", "ns", broad_ns)
+        .metric("narrow_camera_ns", "ns", cam_ns)
+        .metric("narrow_full_ns", "ns", narrow_ns)
+        .metric("broad_over_narrow", "x", speedup)
+        .metric("shards_total", "count", stats.shards_total as f64)
+        .metric("shards_pruned", "count", stats.shards_pruned as f64)
+        .metric("windows_scanned", "count", stats.windows_scanned as f64)
+        .metric(
+            "windows_prefiltered",
+            "count",
+            stats.windows_prefiltered as f64,
+        )
+        .metric("windows_ranked", "count", stats.windows_ranked as f64)
+        .metric("target_speedup", "x", target)
+        .identity("rankings_byte_identical", byte_identical)
+        .finish(stats.shards_pruned > 0 && stats.windows_prefiltered > 0 && speedup >= target);
 }

@@ -13,8 +13,8 @@
 
 use crate::query::{EventQuery, RankedWindow, TopK};
 use std::collections::BTreeMap;
-use tsvr_mil::{Bag, Instance, Learner};
-use tsvr_trajectory::checkpoint::{Alpha, FeatureConfig};
+use tsvr_mil::{Bag, Learner};
+use tsvr_trajectory::checkpoint::FeatureConfig;
 use tsvr_viddb::{ClipBundle, DbError, ShardedDb};
 
 /// A unified, cross-clip bag database.
@@ -37,43 +37,18 @@ impl MultiClipIndex {
         query: &EventQuery,
         cfg: &FeatureConfig,
     ) -> MultiClipIndex {
-        let mut bags = Vec::new();
-        let mut labels = Vec::new();
-        let mut origin = Vec::new();
-        for bundle in bundles {
-            let clip_labels = crate::ingest::labels_from_bundle(bundle, query);
-            for (w, label) in bundle.windows.iter().zip(clip_labels) {
-                let instances = w
-                    .sequences
-                    .iter()
-                    .map(|ts| {
-                        let rows: Vec<Vec<f64>> = ts
-                            .alphas
-                            .iter()
-                            .map(|a| {
-                                Alpha {
-                                    inv_mdist: a[0],
-                                    vdiff: a[1],
-                                    theta: a[2],
-                                }
-                                .normalized(cfg)
-                                .to_vec()
-                            })
-                            .collect();
-                        Instance::new(ts.track_id, rows)
-                    })
-                    .collect();
-                let id = bags.len();
-                bags.push(Bag::new(id, instances));
-                labels.push(label);
-                origin.push((bundle.meta.clip_id, u64::from(w.window_index)));
-            }
-        }
-        MultiClipIndex {
-            bags,
-            labels,
-            origin,
-        }
+        MultiClipIndex::from_parts(
+            bundles
+                .iter()
+                .map(|b| {
+                    (
+                        b.meta.clip_id,
+                        crate::ingest::bags_from_bundle(b, cfg),
+                        crate::ingest::labels_from_bundle(b, query),
+                    )
+                })
+                .collect(),
+        )
     }
 
     /// Number of unified windows.

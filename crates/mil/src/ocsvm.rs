@@ -23,7 +23,7 @@ use crate::bag::Bag;
 use crate::heuristic;
 use crate::session::Learner;
 use std::collections::HashSet;
-use tsvr_svm::{Kernel, OneClassModel, OneClassSvm};
+use tsvr_svm::{FeatureBlock, Kernel, OneClassModel, OneClassSvm, SvmError};
 
 /// The true median of an ascending-sorted, non-empty slice: the middle
 /// element for odd lengths, the mean of the two middle elements for
@@ -208,16 +208,19 @@ impl OcSvmMilLearner {
     /// collected since the last round are evaluated, exactly the
     /// PR-5 pairwise-distance-cache strategy extended to the full
     /// retraining loop. Cache validity is independent of whether the
-    /// subsequent SMO fit converges.
-    fn update_gram(&mut self, kernel: Kernel) {
-        let n = self.training.len();
+    /// subsequent SMO fit converges. Ragged training rows are a
+    /// [`SvmError::DimensionMismatch`] and leave the cache untouched.
+    fn update_gram(&mut self, kernel: Kernel) -> Result<(), SvmError> {
+        let block = FeatureBlock::from_rows(&self.training)?;
+        let n = block.len();
         if self.gram_kernel != Some(kernel) {
-            self.gram_cache = kernel.gram(&self.training);
+            self.gram_cache = kernel.gram_block(&block);
             self.gram_kernel = Some(kernel);
         } else if self.gram_n < n {
-            self.gram_cache = kernel.gram_extend(&self.training, &self.gram_cache, self.gram_n);
+            self.gram_cache = kernel.gram_extend_block(&block, &self.gram_cache, self.gram_n);
         }
         self.gram_n = n;
+        Ok(())
     }
 }
 
@@ -267,8 +270,8 @@ impl Learner for OcSvmMilLearner {
             let kernel = self.effective_kernel();
             let svm = OneClassSvm::new(kernel, delta);
             let fitted = if self.gram_memo {
-                self.update_gram(kernel);
-                svm.fit_with_gram(&self.training, &self.gram_cache)
+                self.update_gram(kernel)
+                    .and_then(|()| svm.fit_with_gram(&self.training, &self.gram_cache))
             } else {
                 svm.fit(&self.training)
             };
@@ -595,6 +598,37 @@ mod tests {
         for (a, b) in batch.iter().zip(&single) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn ragged_training_rows_keep_the_model_and_the_gram_cache() {
+        let mut l = OcSvmMilLearner::new(rbf());
+        let mut bags: Vec<Bag> = (0..3).map(|i| bag(i, hot_rows(0.6))).collect();
+        // A fourth relevant bag whose instance has one row more, so its
+        // concatenated vector is longer than every other training row.
+        let mut long = hot_rows(0.7);
+        long.push(vec![0.3, 0.2, 0.1]);
+        bags.push(bag(3, long));
+        l.learn(&bags, &[(0, true), (1, true)]);
+        // Score the well-formed bags only: a model cannot score rows of
+        // another dimensionality either.
+        let scores = l.score_all(&bags[..3]);
+        let (cache, cached_n) = (l.gram_cache.clone(), l.gram_n);
+        l.learn(&bags, &[(3, true)]);
+        assert_eq!(l.training_size(), 3, "the ragged row was collected");
+        assert!(matches!(
+            l.update_gram(rbf()),
+            Err(SvmError::DimensionMismatch {
+                expected: 9,
+                got: 12
+            })
+        ));
+        assert_eq!((l.gram_cache.clone(), l.gram_n), (cache, cached_n));
+        let after = l.score_all(&bags[..3]);
+        assert!(scores
+            .iter()
+            .zip(&after)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]

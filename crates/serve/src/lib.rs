@@ -409,73 +409,105 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tcp_round_trip_matches_in_process_ranking() {
+    /// open → page → feedback → page over `call`, returning both pages
+    /// as `(round, ranking)`. `salt` varies the labels, so concurrent
+    /// sessions learn different models and a crossed wire shows.
+    fn page_script(call: &mut dyn FnMut(Request) -> Response, salt: u64) -> Vec<(usize, Vec<u64>)> {
+        let Response::Opened { session_id, .. } = call(Request::Open {
+            clip_id: 1,
+            query: "accident".into(),
+            learner: String::new(),
+        }) else {
+            panic!("open failed")
+        };
+        let page = |call: &mut dyn FnMut(Request) -> Response| match call(Request::Page {
+            session_id,
+            n: Some(10),
+        }) {
+            Response::Page { round, ranking, .. } => (round, ranking),
+            other => panic!("page failed: {other:?}"),
+        };
+        let first = page(call);
+        let labels = first
+            .1
+            .iter()
+            .take(6)
+            .map(|&w| (w as u32, (w + salt).is_multiple_of(3)))
+            .collect();
+        let resp = call(Request::Feedback { session_id, labels });
+        assert!(
+            matches!(resp, Response::Learned { round: 1, .. }),
+            "{resp:?}"
+        );
+        vec![first, page(call)]
+    }
+
+    /// `clients` TCP connections run [`page_script`] at the same time;
+    /// each client's pages must equal the same script run through
+    /// [`Service::handle`] on a fresh service.
+    fn tcp_clients_match_in_process(clients: usize) {
+        use std::io::{BufRead, Write};
         let service = Arc::new(Service::new(seeded_db(&[1]), ServiceConfig::default()));
         let reference = Service::new(seeded_db(&[1]), ServiceConfig::default());
         let server = Server::start(
             Arc::clone(&service),
             "127.0.0.1:0",
             ServerConfig {
-                workers: 2,
+                workers: clients + 1,
                 queue_cap: 8,
             },
         )
         .unwrap();
         let addr = server.addr();
-
-        let stream = std::net::TcpStream::connect(addr).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = std::io::BufReader::new(stream);
-        let mut send = |req: Request| -> Response {
-            use std::io::{BufRead, Write};
-            writeln!(writer, "{}", encode_request(&Envelope::new(req))).unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            decode_response(&line).unwrap()
+        let connect = || {
+            let stream = std::net::TcpStream::connect(addr).unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = std::io::BufReader::new(stream);
+            move |req: Request| -> Response {
+                writeln!(writer, "{}", encode_request(&Envelope::new(req))).unwrap();
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                decode_response(&line).unwrap()
+            }
         };
 
-        assert_eq!(send(Request::Ping), Response::Pong);
-        let open = Request::Open {
-            clip_id: 1,
-            query: "accident".into(),
-            learner: String::new(),
-        };
-        let Response::Opened { session_id, .. } = send(open.clone()) else {
-            panic!("tcp open failed")
-        };
-        let tcp_page = send(Request::Page {
-            session_id,
-            n: Some(10),
-        });
-
-        // Same protocol driven in process must produce the same bytes.
-        let Response::Opened {
-            session_id: ref_id, ..
-        } = reference.handle(&Envelope::new(open))
-        else {
-            panic!("in-process open failed")
-        };
-        let ref_page = reference.handle(&Envelope::new(Request::Page {
-            session_id: ref_id,
-            n: Some(10),
-        }));
-        match (&tcp_page, &ref_page) {
-            (
-                Response::Page {
-                    ranking: tcp_rank, ..
-                },
-                Response::Page {
-                    ranking: ref_rank, ..
-                },
-            ) => assert_eq!(tcp_rank, ref_rank),
-            other => panic!("unexpected page pair {other:?}"),
+        let barrier = Arc::new(std::sync::Barrier::new(clients));
+        let served: Vec<_> = (0..clients as u64)
+            .map(|salt| {
+                let mut send = connect();
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    assert_eq!(send(Request::Ping), Response::Pong);
+                    barrier.wait();
+                    page_script(&mut send, salt)
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect();
+        for (salt, pages) in served.iter().enumerate() {
+            let expected = page_script(
+                &mut |req| reference.handle(&Envelope::new(req)),
+                salt as u64,
+            );
+            assert_eq!(
+                pages, &expected,
+                "{clients} clients: client {salt} diverged"
+            );
         }
 
-        assert_eq!(send(Request::Shutdown), Response::ShuttingDown);
+        assert_eq!(connect()(Request::Shutdown), Response::ShuttingDown);
         server.join();
         // After drain the listener is closed: connecting now fails.
         assert!(std::net::TcpStream::connect(addr).is_err());
+    }
+
+    #[test]
+    fn tcp_round_trip_matches_in_process_ranking() {
+        for clients in [1, 4] {
+            tcp_clients_match_in_process(clients);
+        }
     }
 
     #[test]

@@ -93,6 +93,19 @@ mod tests {
                 got: 1
             })
         ));
+        // Every trainer reports the same typed error instead of packing.
+        let svm = crate::OneClassSvm::new(crate::Kernel::Rbf { gamma: 0.5 }, 0.5);
+        let mismatch = |r: Result<crate::OneClassModel, SvmError>| {
+            matches!(
+                r,
+                Err(SvmError::DimensionMismatch {
+                    expected: 2,
+                    got: 1
+                })
+            )
+        };
+        assert!(mismatch(svm.fit(&rows)));
+        assert!(mismatch(svm.fit_with_gram(&rows, &[0.0; 4])));
     }
 
     #[test]

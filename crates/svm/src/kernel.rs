@@ -1,13 +1,13 @@
 //! Mercer kernels (paper Eq. 5–6).
 //!
-//! The batch entry points ([`Kernel::gram`], [`Kernel::gram_extend`],
-//! [`Kernel::eval_block`]) run over a [`FeatureBlock`] — one contiguous
-//! row-major buffer — so the distance loops stream memory linearly, and
-//! split the RBF/Laplacian evaluation into a distance pass followed by
-//! a vectorizable `exp` pass over the whole output row. Both
-//! restructurings preserve the exact per-element arithmetic of
-//! [`Kernel::eval`], so every batch value is bit-identical to the
-//! corresponding scalar call.
+//! The batch entry points ([`Kernel::gram_block`],
+//! [`Kernel::gram_extend_block`], [`Kernel::eval_block`]) run over a
+//! [`FeatureBlock`] — one contiguous row-major buffer — so the distance
+//! loops stream memory linearly, and split the RBF/Laplacian evaluation
+//! into a distance pass followed by a vectorizable `exp` pass over the
+//! whole output row. Both restructurings preserve the exact per-element
+//! arithmetic of [`Kernel::eval`], so every batch value is bit-identical
+//! to the corresponding scalar call.
 
 use crate::block::FeatureBlock;
 use crate::SvmError;
@@ -134,18 +134,27 @@ impl Kernel {
     /// elements only, so each value is bit-identical to the scalar call.
     pub fn eval_block(&self, block: &FeatureBlock, u: &[f64], out: &mut [f64]) {
         debug_assert_eq!(out.len(), block.len());
+        self.eval_rows(block, u, 0, out);
+    }
+
+    /// `K(u, block.row(first + k))` into `out[k]` — the one fused pass
+    /// behind every batch entry point. The kernel is matched once per
+    /// call, not per element: RBF/Laplacian run a distance loop then an
+    /// `exp` loop over `out`.
+    fn eval_rows(&self, block: &FeatureBlock, u: &[f64], first: usize, out: &mut [f64]) {
+        let rows = (first..first + out.len()).map(|j| block.row(j));
         match *self {
             Kernel::Rbf { gamma } => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = vecops::sq_dist(u, block.row(j));
+                for (o, v) in out.iter_mut().zip(rows) {
+                    *o = vecops::sq_dist(u, v);
                 }
                 for o in out.iter_mut() {
                     *o = (-gamma * *o).exp();
                 }
             }
             Kernel::Laplacian { sigma } => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = vecops::sq_dist(u, block.row(j));
+                for (o, v) in out.iter_mut().zip(rows) {
+                    *o = vecops::sq_dist(u, v);
                 }
                 // `vecops::dist` is `sq_dist(..).sqrt()`, so the split
                 // pass applies the same sqrt-then-exp per element.
@@ -154,60 +163,54 @@ impl Kernel {
                 }
             }
             _ => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = self.eval(u, block.row(j));
+                for (o, v) in out.iter_mut().zip(rows) {
+                    *o = self.eval(u, v);
                 }
             }
         }
     }
 
-    /// Precomputes the full Gram matrix of a dataset (row-major,
-    /// `n x n`). The rows are packed into a [`FeatureBlock`] so the
-    /// distance loops run cache-linearly (a ragged input falls back to
-    /// the nested-`Vec` walk with identical arithmetic). Upper-triangle
-    /// rows are evaluated in parallel on the [`tsvr_par`] runtime (row
-    /// `i` is an independent task, so the ragged row lengths
-    /// load-balance across workers) and mirrored sequentially; every
-    /// entry is the same `eval(i, j)` the sequential double loop
-    /// computes, so the matrix is bit-identical regardless of the
-    /// thread count.
+    /// [`gram_block`](Self::gram_block) over nested rows.
+    ///
+    /// # Panics
+    /// If the rows are ragged. Trainers validate their input first
+    /// ([`crate::OneClassSvm::fit`] returns
+    /// [`SvmError::DimensionMismatch`]); callers holding unvalidated
+    /// rows pack them with [`FeatureBlock::from_rows`] themselves.
     pub fn gram(&self, data: &[Vec<f64>]) -> Vec<f64> {
+        self.gram_block(&packed(data))
+    }
+
+    /// Precomputes the full Gram matrix of a block's rows (row-major,
+    /// `n x n`). The block is contiguous, so the distance loops run
+    /// cache-linearly. Upper-triangle rows are evaluated in parallel on
+    /// the [`tsvr_par`] runtime and mirrored sequentially; every entry
+    /// is the same `eval(i, j)` the sequential double loop computes, so
+    /// the matrix is bit-identical regardless of the thread count.
+    pub fn gram_block(&self, block: &FeatureBlock) -> Vec<f64> {
         // Anchor rows per parallel task. Batching rows amortizes the
         // one scratch allocation per task — per-row tasks spent ~10%
         // of small-matrix gram time in the allocator.
         const ROW_CHUNK: usize = 8;
-        let n = data.len();
+        let n = block.len();
         tsvr_obs::counter!("svm.kernel.evals").add((n * (n + 1) / 2) as u64);
         let nchunks = n.div_ceil(ROW_CHUNK);
         let span = |c: usize| (c * ROW_CHUNK, (c * ROW_CHUNK + ROW_CHUNK).min(n));
         // Chunk c holds rows lo..hi concatenated; row i is K(i, j) for
-        // j in i..n.
-        let chunks: Vec<Vec<f64>> = match FeatureBlock::from_rows(data) {
-            Ok(block) => {
-                // Fork hint: the average task is ROW_CHUNK half-rows.
-                let est =
-                    (ROW_CHUNK as u64) * (n as u64 / 2 + 1) * self.est_eval_ns(block.dim());
-                tsvr_par::par_map_index_est(nchunks, est, |c| {
-                    let (lo, hi) = span(c);
-                    let total: usize = (lo..hi).map(|i| n - i).sum();
-                    let mut buf = vec![0.0; total];
-                    let mut off = 0;
-                    for i in lo..hi {
-                        let len = n - i;
-                        self.eval_suffix(&block, i, &mut buf[off..off + len]);
-                        off += len;
-                    }
-                    buf
-                })
+        // j in i..n. Fork hint: the average task is ROW_CHUNK half-rows.
+        let est = (ROW_CHUNK as u64) * (n as u64 / 2 + 1) * self.est_eval_ns(block.dim());
+        let chunks: Vec<Vec<f64>> = tsvr_par::par_map_index_est(nchunks, est, |c| {
+            let (lo, hi) = span(c);
+            let total: usize = (lo..hi).map(|i| n - i).sum();
+            let mut buf = vec![0.0; total];
+            let mut off = 0;
+            for i in lo..hi {
+                let len = n - i;
+                self.eval_rows(block, block.row(i), i, &mut buf[off..off + len]);
+                off += len;
             }
-            Err(_) => tsvr_par::par_map_index(nchunks, |c| {
-                let (lo, hi) = span(c);
-                (lo..hi)
-                    .flat_map(|i| (i..n).map(move |j| (i, j)))
-                    .map(|(i, j)| self.eval(&data[i], &data[j]))
-                    .collect()
-            }),
-        };
+            buf
+        });
         let mut g = vec![0.0; n * n];
         for (c, buf) in chunks.iter().enumerate() {
             let (lo, hi) = span(c);
@@ -224,49 +227,27 @@ impl Kernel {
         g
     }
 
-    /// `K(row_i, row_j)` for `j in i..n`, written to `out`
-    /// (`out.len() == n - i`), with the fused RBF/Laplacian pass.
-    fn eval_suffix(&self, block: &FeatureBlock, i: usize, out: &mut [f64]) {
-        let u = block.row(i);
-        match *self {
-            Kernel::Rbf { gamma } => {
-                for (off, o) in out.iter_mut().enumerate() {
-                    *o = vecops::sq_dist(u, block.row(i + off));
-                }
-                for o in out.iter_mut() {
-                    *o = (-gamma * *o).exp();
-                }
-            }
-            Kernel::Laplacian { sigma } => {
-                for (off, o) in out.iter_mut().enumerate() {
-                    *o = vecops::sq_dist(u, block.row(i + off));
-                }
-                for o in out.iter_mut() {
-                    *o = (-o.sqrt() / sigma).exp();
-                }
-            }
-            _ => {
-                for (off, o) in out.iter_mut().enumerate() {
-                    *o = self.eval(u, block.row(i + off));
-                }
-            }
-        }
+    /// [`gram_extend_block`](Self::gram_extend_block) over nested rows;
+    /// panics on ragged rows like [`gram`](Self::gram).
+    pub fn gram_extend(&self, data: &[Vec<f64>], old: &[f64], old_n: usize) -> Vec<f64> {
+        self.gram_extend_block(&packed(data), old, old_n)
     }
 
     /// Grows a Gram matrix incrementally: `old` must be this kernel's
-    /// `old_n × old_n` Gram over `data[..old_n]`; the result is the full
-    /// `n × n` Gram over `data`, computing only the entries that involve
-    /// a new row (`j >= old_n`) and copying the rest. New entries use
-    /// the same per-element arithmetic as [`gram`](Self::gram)
-    /// (`K(u, v)` and `K(v, u)` are bit-identical for every kernel here:
-    /// `x·y`, `(x−y)²` and `|x−y|` are all IEEE-commutative), so the
-    /// result is bit-identical to a full recomputation — including NaN
-    /// payloads, which flow through the same operations either way.
-    /// A mismatched `old` shape falls back to the full computation.
-    pub fn gram_extend(&self, data: &[Vec<f64>], old: &[f64], old_n: usize) -> Vec<f64> {
-        let n = data.len();
+    /// `old_n × old_n` Gram over the block's first `old_n` rows; the
+    /// result is the full `n × n` Gram over the block, computing only
+    /// the entries that involve a new row (`j >= old_n`) and copying the
+    /// rest. New entries use the same per-element arithmetic as
+    /// [`gram_block`](Self::gram_block) (`K(u, v)` and `K(v, u)` are
+    /// bit-identical for every kernel here: `x·y`, `(x−y)²` and `|x−y|`
+    /// are all IEEE-commutative), so the result is bit-identical to a
+    /// full recomputation — including NaN payloads, which flow through
+    /// the same operations either way. A mismatched `old` shape falls
+    /// back to the full computation.
+    pub fn gram_extend_block(&self, block: &FeatureBlock, old: &[f64], old_n: usize) -> Vec<f64> {
+        let n = block.len();
         if old_n > n || old.len() != old_n * old_n {
-            return self.gram(data);
+            return self.gram_block(block);
         }
         let new_pairs = n * (n + 1) / 2 - old_n * (old_n + 1) / 2;
         tsvr_obs::counter!("svm.kernel.evals").add(new_pairs as u64);
@@ -275,21 +256,13 @@ impl Kernel {
             g[i * n..i * n + old_n].copy_from_slice(&old[i * old_n..(i + 1) * old_n]);
         }
         // One task per new row j, holding K(j, 0..=j).
-        let rows: Vec<Vec<f64>> = match FeatureBlock::from_rows(data) {
-            Ok(block) => {
-                let est = (n as u64 / 2 + 1) * self.est_eval_ns(block.dim());
-                tsvr_par::par_map_index_est(n - old_n, est, |k| {
-                    let j = old_n + k;
-                    let mut row = vec![0.0; j + 1];
-                    self.eval_prefix(&block, j, &mut row);
-                    row
-                })
-            }
-            Err(_) => tsvr_par::par_map_index(n - old_n, |k| {
-                let j = old_n + k;
-                (0..=j).map(|i| self.eval(&data[j], &data[i])).collect()
-            }),
-        };
+        let est = (n as u64 / 2 + 1) * self.est_eval_ns(block.dim());
+        let rows: Vec<Vec<f64>> = tsvr_par::par_map_index_est(n - old_n, est, |k| {
+            let j = old_n + k;
+            let mut row = vec![0.0; j + 1];
+            self.eval_rows(block, block.row(j), 0, &mut row);
+            row
+        });
         for (k, row) in rows.iter().enumerate() {
             let j = old_n + k;
             for (i, &v) in row.iter().enumerate() {
@@ -299,35 +272,11 @@ impl Kernel {
         }
         g
     }
+}
 
-    /// `K(row_j, row_i)` for `i in 0..=j`, written to `out`
-    /// (`out.len() == j + 1`), with the fused RBF/Laplacian pass.
-    fn eval_prefix(&self, block: &FeatureBlock, j: usize, out: &mut [f64]) {
-        let u = block.row(j);
-        match *self {
-            Kernel::Rbf { gamma } => {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = vecops::sq_dist(u, block.row(i));
-                }
-                for o in out.iter_mut() {
-                    *o = (-gamma * *o).exp();
-                }
-            }
-            Kernel::Laplacian { sigma } => {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = vecops::sq_dist(u, block.row(i));
-                }
-                for o in out.iter_mut() {
-                    *o = (-o.sqrt() / sigma).exp();
-                }
-            }
-            _ => {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = self.eval(u, block.row(i));
-                }
-            }
-        }
-    }
+/// Packs nested rows for the infallible `gram` entry points.
+fn packed(data: &[Vec<f64>]) -> FeatureBlock {
+    FeatureBlock::from_rows(data).expect("kernel rows share one dimensionality")
 }
 
 #[cfg(test)]
