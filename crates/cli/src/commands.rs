@@ -2,11 +2,12 @@
 
 use crate::args::{ArgError, Args};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use tsvr_core::{
     archive_clip_video, bags_from_bundle, bags_from_dataset, bundle_from_clip, labels_from_bundle,
-    prepare_clip, EventQuery, LearnerKind, PipelineOptions,
+    latest_checkpoints, prepare_clip, EventQuery, LearnerKind, PipelineOptions, Session,
 };
-use tsvr_mil::{GroundTruthOracle, Normalization, Oracle, RetrievalSession, SessionConfig};
+use tsvr_mil::{Bag, GroundTruthOracle, RetrievalSession, SessionConfig};
 use tsvr_sim::Scenario;
 use tsvr_trajectory::checkpoint::FeatureConfig;
 use tsvr_trajectory::{Dataset, WindowConfig};
@@ -34,14 +35,15 @@ commands:
              clauses: event/class/camera/time/vdiff/theta/inv_mdist,
              joined with 'and'; prints plan stats and any degraded
              shards; --addr sends the same expression to a live server)
-  sessions   --db F --clip-id N
-  resume     --db F --clip-id N --session N [--learner L] [--rounds N] [--top N]
-  session list     --db F [--clip-id N]   (every stored session, latest state)
+  session list     --db F [--clip-id N]   (every stored session, latest state;
+             `sessions` is an alias)
   session replay   --db F --clip-id N --session N [--learner L] [--top N]
              (rebuild the stored learner and print its current page;
              a --learner that differs from the stored one is a typed error)
   session continue --db F --clip-id N --session N [--learner L]
-             [--rounds N] [--top N]   (same as resume)
+             [--rounds N] [--top N]   (run more oracle-labelled rounds on
+             a stored session; `resume` is an alias; --session 0 or
+             omitted picks the clip's most recently stored session)
   serve      --db F [--addr H:P] [--workers N] [--queue N] [--deadline-ms N]
              [--top N] [--slowlog-ms N] [--flight-dump FILE]
              (concurrent retrieval service; line-delimited JSON
@@ -117,7 +119,8 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
             Some(expr) => query_expr(expr, &args),
             None => query(&args),
         },
-        "sessions" => sessions(&args),
+        // Aliases of `session list` / `session continue`.
+        "sessions" => session_list(&args),
         "resume" => resume(&args),
         "search" => search(&args),
         "export" => export(&args),
@@ -497,28 +500,37 @@ fn clip_ids_from(args: &Args, db: &ShardedDb) -> Result<Vec<u64>, String> {
     }
 }
 
-/// A clip's dataset, served from its stored feature index when allowed
-/// and fresh; otherwise rebuilt from the archived bundle (pure data
-/// reshaping — no vision work either way) and, when indexing was asked
-/// for, persisted so the next query is a hit.
-fn indexed_dataset(
+/// A clip's bags. `use_index` serves them from the clip's fresh
+/// feature index, storing one first when none is fresh; `rebuild`
+/// re-extracts and re-stores it unconditionally, so the next query is
+/// a hit. Otherwise [`tsvr_core::clip_bags`] reads a fresh index, else
+/// the archived bundle. No path runs vision.
+fn indexed_bags(
     db: &mut ShardedDb,
     clip_id: u64,
     use_index: bool,
     rebuild: bool,
-) -> Result<Dataset, String> {
-    let wcfg = WindowConfig::default();
-    let vdb = db.routed_shard(clip_id).map_err(|e| e.to_string())?;
+) -> Result<Vec<Bag>, String> {
     if use_index && !rebuild {
-        if let Some(ds) = tsvr_core::load_index(vdb, clip_id, &wcfg).map_err(|e| e.to_string())? {
-            return Ok(ds);
+        let shard = db.routed_shard(clip_id).map_err(|e| e.to_string())?;
+        let wcfg = WindowConfig::default();
+        if let Some(ds) = tsvr_core::load_index(shard, clip_id, &wcfg).map_err(|e| e.to_string())? {
+            return Ok(bags_from_dataset(&ds));
         }
     }
-    let bundle = vdb.load_clip(clip_id).map_err(|e| e.to_string())?;
-    let ds = tsvr_core::dataset_from_bundle(&bundle, wcfg);
     if use_index || rebuild {
-        tsvr_core::build_index(vdb, clip_id, &ds).map_err(|e| e.to_string())?;
+        return Ok(bags_from_dataset(&store_index(db, clip_id)?));
     }
+    tsvr_core::clip_bags(db, clip_id).map_err(|e| e.to_string())
+}
+
+/// Rebuilds a clip's dataset from its archived bundle (pure data
+/// reshaping) and stores it as the clip's feature index.
+fn store_index(db: &mut ShardedDb, clip_id: u64) -> Result<Dataset, String> {
+    let shard = db.routed_shard(clip_id).map_err(|e| e.to_string())?;
+    let bundle = shard.load_clip(clip_id).map_err(|e| e.to_string())?;
+    let ds = tsvr_core::dataset_from_bundle(&bundle, WindowConfig::default());
+    tsvr_core::build_index(shard, clip_id, &ds).map_err(|e| e.to_string())?;
     Ok(ds)
 }
 
@@ -533,10 +545,7 @@ fn index_cmd(action: &str, args: &Args) -> Result<(), String> {
     match action {
         "build" => {
             for &id in &clip_ids {
-                let vdb = db.routed_shard(id).map_err(|e| e.to_string())?;
-                let bundle = vdb.load_clip(id).map_err(|e| e.to_string())?;
-                let ds = tsvr_core::dataset_from_bundle(&bundle, wcfg);
-                tsvr_core::build_index(vdb, id, &ds).map_err(|e| e.to_string())?;
+                let ds = store_index(&mut db, id)?;
                 println!(
                     "indexed clip {id}: {} windows, {} trajectory sequences",
                     ds.windows.len(),
@@ -550,14 +559,11 @@ fn index_cmd(action: &str, args: &Args) -> Result<(), String> {
             let mut stale = 0usize;
             let mut missing = 0usize;
             for &id in &clip_ids {
-                // Raw presence first, so a config-hash mismatch reads
-                // as "stale", not "missing".
-                let present = db.load_index(id).map_err(|e| e.to_string())?.is_some();
-                let vdb = db.routed_shard(id).map_err(|e| e.to_string())?;
-                let status = match tsvr_core::load_index(vdb, id, &wcfg)
-                    .map_err(|e| e.to_string())?
-                {
-                    Some(ds) => format!("fresh ({} windows)", ds.windows.len()),
+                // A config-hash mismatch reads as "stale", not "missing".
+                let stored = db.load_index(id).map_err(|e| e.to_string())?;
+                let present = stored.is_some();
+                let status = match tsvr_core::fresh_segment(stored, id, &wcfg) {
+                    Some(seg) => format!("fresh ({} windows)", seg.windows.len()),
                     None if present => {
                         stale += 1;
                         "STALE (rebuild with `index build`)".into()
@@ -583,15 +589,12 @@ fn index_cmd(action: &str, args: &Args) -> Result<(), String> {
     }
 }
 
-fn learner_from(args: &Args) -> Result<LearnerKind, String> {
-    Ok(match args.get("learner").unwrap_or("ocsvm") {
-        "ocsvm" => LearnerKind::paper_ocsvm(),
-        "wrf" => LearnerKind::WeightedRf(Normalization::Percentage),
-        "misvm" => LearnerKind::MiSvm { c: 10.0 },
-        "dd" => LearnerKind::DiverseDensity { scale: 8.0 },
-        "emdd" => LearnerKind::EmDd { scale: 8.0 },
-        other => return Err(format!("unknown learner {other:?}")),
-    })
+/// `--learner`, parsed by [`LearnerKind::from_spec`]; `None` when the
+/// flag is absent.
+fn learner_arg(args: &Args) -> Result<Option<LearnerKind>, String> {
+    args.get("learner")
+        .map(|spec| LearnerKind::from_spec(spec).ok_or_else(|| format!("unknown learner {spec:?}")))
+        .transpose()
 }
 
 fn event_from(args: &Args) -> Result<EventQuery, String> {
@@ -688,42 +691,32 @@ fn query_expr(expr: &str, args: &Args) -> Result<(), String> {
 fn query(args: &Args) -> Result<(), String> {
     let mut db = open_db(args)?;
     let clip_id = args.num::<u64>("clip-id", 1)?;
-    let use_index = args.switch("use-index");
-    let rebuild_index = args.switch("rebuild-index");
-    let bags = if use_index || rebuild_index {
-        let ds = indexed_dataset(&mut db, clip_id, use_index, rebuild_index)?;
-        bags_from_dataset(&ds)
-    } else {
-        let bundle = db.load_clip(clip_id).map_err(|e| e.to_string())?;
-        bags_from_bundle(&bundle, &FeatureConfig::default())
-    };
+    let (use_index, rebuild) = (args.switch("use-index"), args.switch("rebuild-index"));
+    let bags = indexed_bags(&mut db, clip_id, use_index, rebuild)?;
     let bundle = db.load_clip(clip_id).map_err(|e| e.to_string())?;
     let event = event_from(args)?;
     let labels = labels_from_bundle(&bundle, &event);
-    let cfg = SessionConfig {
-        top_n: args.num("top", 20)?,
-        feedback_rounds: args.num("rounds", 4)?,
-        ..SessionConfig::default()
-    };
-    let learner = learner_from(args)?;
-
+    let (top_n, rounds) = (args.num("top", 20)?, args.num("rounds", 4)?);
+    let learner = learner_arg(args)?.unwrap_or_else(LearnerKind::paper_ocsvm);
+    // Ids continue past every stored one: rows are only written for
+    // sessions that got feedback, so counting rows would reuse ids.
+    let id = db.max_session_id() + 1;
+    let mut session = Session::open(id, clip_id, event.name, learner, Arc::new(bags));
     if args.switch("interactive") {
-        let stdin = std::io::stdin();
-        let mut input = stdin.lock();
-        return interactive_query(
-            &mut db, clip_id, &bundle, &bags, &event, &labels, cfg, learner, &mut input,
-        );
+        let mut input = std::io::stdin().lock();
+        return interactive_query(&mut db, session, &bundle, &labels, top_n, rounds, &mut input);
     }
 
     let oracle = GroundTruthOracle::new(labels);
-    let (report, _) = RetrievalSession::new(&bags, learner.build_for(&bags), &oracle, cfg).run();
-
+    let report = session
+        .run_rounds(&oracle, top_n, rounds)
+        .map_err(|e| e.to_string())?;
     println!(
         "query {:?} on clip {clip_id} with {} ({} relevant of {} windows):",
         event.name,
         report.learner,
         report.relevant_total,
-        bags.len()
+        session.bags().len()
     );
     for (round, acc) in report.accuracies.iter().enumerate() {
         let label = if round == 0 {
@@ -731,109 +724,66 @@ fn query(args: &Args) -> Result<(), String> {
         } else {
             format!("round {round}")
         };
-        println!("  {label:<10} accuracy@{} = {:.0}%", cfg.top_n, acc * 100.0);
+        println!("  {label:<10} accuracy@{top_n} = {:.0}%", acc * 100.0);
     }
-    let last = report.final_ranking().unwrap_or(&[]);
-    println!(
-        "  final top {}: {:?}",
-        cfg.top_n.min(last.len()),
-        &last[..cfg.top_n.min(last.len())]
-    );
+    let page = session.page(top_n);
+    println!("  final top {}: {page:?}", page.len());
 
     // Persist the session.
-    let session_id = db.session_count() as u64 + 1;
-    db.put_session(&SessionRow {
-        session_id,
-        clip_id,
-        query: event.name.into(),
-        learner: report.learner.into(),
-        feedback: report
-            .rankings
-            .iter()
-            .take(cfg.feedback_rounds)
-            .map(|r| {
-                r.iter()
-                    .take(cfg.top_n)
-                    .map(|&w| {
-                            // On-disk session rows store u32 window ids;
-                            // fail loudly rather than alias past 2^32.
-                            let id = u32::try_from(w).expect("window id exceeds on-disk u32 range");
-                            (id, oracle.label(w))
-                        })
-                    .collect()
-            })
-            .collect(),
-        accuracies: report.accuracies.clone(),
-    })
-    .map_err(|e| e.to_string())?;
+    store_session(
+        &mut db,
+        SessionRow {
+            accuracies: report.accuracies,
+            ..session.row().clone()
+        },
+    )
+}
+
+/// Appends a session's checkpoint row and syncs it.
+fn store_session(db: &mut ShardedDb, row: SessionRow) -> Result<(), String> {
+    db.put_session(&row).map_err(|e| e.to_string())?;
     db.sync().map_err(|e| e.to_string())?;
-    println!("  (stored as session {session_id})");
+    println!("  (stored as session {})", row.session_id);
     Ok(())
 }
 
-/// The most advanced stored row for a session (`session_id == 0` means
-/// "the latest session for the clip"). Checkpoint rows carry the full
-/// feedback history, so the row with the most rounds is the freshest
-/// state; among equals the later append wins.
-fn stored_session_row(
-    db: &mut ShardedDb,
-    clip_id: u64,
-    session_id: u64,
-) -> Result<SessionRow, String> {
-    let stored = db.sessions_for_clip(clip_id).map_err(|e| e.to_string())?;
-    let wanted = if session_id == 0 {
-        stored.last().map(|s| s.session_id)
-    } else {
-        Some(session_id)
-    };
-    wanted
-        .and_then(|id| {
-            stored
-                .into_iter()
-                .enumerate()
-                .filter(|(_, s)| s.session_id == id)
-                .max_by_key(|(i, s)| (s.feedback.len(), *i))
-                .map(|(_, s)| s)
-        })
-        .ok_or_else(|| format!("no stored session {session_id} for clip {clip_id}"))
-}
-
-/// The learner kind to rebuild a stored session with: `--learner` when
-/// given (replay then validates it against the row), else the kind the
-/// row itself names.
-fn kind_for_row(args: &Args, row: &SessionRow) -> Result<LearnerKind, String> {
-    match args.get("learner") {
-        Some(_) => learner_from(args),
-        None => LearnerKind::from_learner_name(&row.learner).ok_or_else(|| {
-            format!(
-                "stored session {} uses unknown learner {:?}",
-                row.session_id, row.learner
-            )
-        }),
-    }
-}
-
-fn resume(args: &Args) -> Result<(), String> {
-    let mut db = open_db(args)?;
+/// Resumes a stored session at its latest checkpoint (`--session 0`,
+/// the default, picks the clip's most recently stored session) through
+/// its own learner, or through `--learner`, which must match it.
+fn resume_stored(db: &mut ShardedDb, args: &Args) -> Result<Session, String> {
     let clip_id = args.num::<u64>("clip-id", 1)?;
     let session_id = args.num::<u64>("session", 0)?;
-    let row = stored_session_row(&mut db, clip_id, session_id)?;
+    let rows = db.sessions_for_clip(clip_id).map_err(|e| e.to_string())?;
+    let wanted = match session_id {
+        0 => rows.last().map(|r| r.session_id),
+        id => Some(id),
+    };
+    let row = wanted
+        .and_then(|id| latest_checkpoints(rows).remove(&id))
+        .ok_or_else(|| format!("no stored session {session_id} for clip {clip_id}"))?;
+    let kind = learner_arg(args)?;
+    let bags = tsvr_core::clip_bags(db, clip_id).map_err(|e| e.to_string())?;
+    Session::resume(&row, kind, Arc::new(bags)).map_err(|e| e.to_string())
+}
 
-    let bundle = db.load_clip(clip_id).map_err(|e| e.to_string())?;
-    let bags = bags_from_bundle(&bundle, &FeatureConfig::default());
-    let event = EventQuery::from_name(&row.query).unwrap_or_else(|_| EventQuery::accidents());
+/// `session continue` (alias `resume`): resumes a stored session and
+/// runs more oracle-labelled rounds on it.
+fn resume(args: &Args) -> Result<(), String> {
+    let mut db = open_db(args)?;
+    let mut session = resume_stored(&mut db, args)?;
+    let bundle = db.load_clip(session.clip_id()).map_err(|e| e.to_string())?;
+    let event = EventQuery::from_name(session.query()).unwrap_or_else(|_| EventQuery::accidents());
     let oracle = GroundTruthOracle::new(labels_from_bundle(&bundle, &event));
     let top_n = args.num("top", 20)?;
-    let rounds = args.num("rounds", 2)?;
-    let kind = kind_for_row(args, &row)?;
-    let report = tsvr_core::continue_session(&bags, &row, kind, &oracle, top_n, rounds)
-        .map_err(|e| e.to_string())?;
     println!(
         "resumed session {} (query {:?}, {} stored rounds):",
-        row.session_id,
-        row.query,
-        row.feedback.len()
+        session.session_id(),
+        session.query(),
+        session.rounds()
     );
+    let report = session
+        .run_rounds(&oracle, top_n, args.num("rounds", 2)?)
+        .map_err(|e| e.to_string())?;
     for (round, acc) in report.accuracies.iter().enumerate() {
         let label = if round == 0 {
             "restored".to_string()
@@ -849,36 +799,25 @@ fn resume(args: &Args) -> Result<(), String> {
 /// page is printed with window context, the user answers y/n per item,
 /// and the learner retrains on those labels (the paper's Fig. 7 flow in
 /// a terminal).
-#[allow(clippy::too_many_arguments)] // one-shot plumbing from `query`
 fn interactive_query(
     db: &mut ShardedDb,
-    clip_id: u64,
+    mut session: Session,
     bundle: &tsvr_viddb::ClipBundle,
-    bags: &[tsvr_mil::Bag],
-    event: &EventQuery,
     gt_labels: &[bool],
-    cfg: SessionConfig,
-    learner_kind: LearnerKind,
+    top_n: usize,
+    rounds: usize,
     input: &mut dyn std::io::BufRead,
 ) -> Result<(), String> {
-    use tsvr_mil::session::rank_by;
-    use tsvr_mil::{heuristic, Learner};
+    let accuracy = |s: &Session| tsvr_mil::metrics::accuracy_at(s.ranking(), gt_labels, top_n);
+    let mut accuracies = vec![accuracy(&session)];
 
-    let mut learner = learner_kind.build_for(bags);
-    let mut ranking = rank_by(bags, heuristic::bag_score);
-    let mut all_feedback: Vec<Vec<(u32, bool)>> = Vec::new();
-    let mut accuracies: Vec<f64> = vec![tsvr_mil::metrics::accuracy_at(
-        &ranking, gt_labels, cfg.top_n,
-    )];
-
-    for round in 1..=cfg.feedback_rounds {
+    for round in 1..=rounds {
         println!(
             "
--- round {round}: label the top {} windows --",
-            cfg.top_n
+-- round {round}: label the top {top_n} windows --"
         );
         let mut feedback = Vec::new();
-        for &w in ranking.iter().take(cfg.top_n) {
+        for &w in session.page(top_n) {
             let win = &bundle.windows[w];
             print!(
                 "window {:>3} frames {:>5}..{:<5} ({} vehicles)  {} [y/N] ",
@@ -886,7 +825,7 @@ fn interactive_query(
                 win.start_frame,
                 win.end_frame,
                 win.sequences.len(),
-                event.name
+                session.query()
             );
             use std::io::Write;
             std::io::stdout().flush().ok();
@@ -901,57 +840,22 @@ fn interactive_query(
         if feedback.is_empty() {
             break;
         }
-        learner.learn(bags, &feedback);
-        all_feedback.push(feedback.iter().map(|&(w, r)| (w as u32, r)).collect());
-        ranking = rank_by(bags, |b| learner.score(b));
-        let acc = tsvr_mil::metrics::accuracy_at(&ranking, gt_labels, cfg.top_n);
+        session.feedback(&feedback).map_err(|e| e.to_string())?;
+        let acc = accuracy(&session);
         accuracies.push(acc);
         println!(
-            "   accuracy@{} vs stored ground truth: {:.0}%",
-            cfg.top_n,
+            "   accuracy@{top_n} vs stored ground truth: {:.0}%",
             acc * 100.0
         );
     }
-
-    let session_id = db.session_count() as u64 + 1;
-    db.put_session(&SessionRow {
-        session_id,
-        clip_id,
-        query: event.name.into(),
-        learner: learner.name().into(),
-        feedback: all_feedback,
-        accuracies,
-    })
-    .map_err(|e| e.to_string())?;
-    db.sync().map_err(|e| e.to_string())?;
-    println!(
-        "
-stored as session {session_id}"
-    );
-    Ok(())
-}
-
-fn sessions(args: &Args) -> Result<(), String> {
-    let mut db = open_db(args)?;
-    let clip_id = args.num::<u64>("clip-id", 1)?;
-    let sessions = db.sessions_for_clip(clip_id).map_err(|e| e.to_string())?;
-    if sessions.is_empty() {
-        println!("no sessions for clip {clip_id}");
-        return Ok(());
-    }
-    for s in sessions {
-        println!(
-            "session {:<4} query {:<10} learner {:<18} accuracies {:?}",
-            s.session_id,
-            s.query,
-            s.learner,
-            s.accuracies
-                .iter()
-                .map(|a| format!("{:.0}%", a * 100.0))
-                .collect::<Vec<_>>()
-        );
-    }
-    Ok(())
+    println!();
+    store_session(
+        db,
+        SessionRow {
+            accuracies,
+            ..session.row().clone()
+        },
+    )
 }
 
 /// `session list` / `session replay` / `session continue`.
@@ -959,7 +863,6 @@ fn session_cmd(action: &str, args: &Args) -> Result<(), String> {
     match action {
         "list" => session_list(args),
         "replay" => session_replay(args),
-        // `continue` is `resume` under the subcommand's name.
         "continue" => resume(args),
         other => Err(format!("unknown session action {other:?}\n{USAGE}")),
     }
@@ -969,15 +872,16 @@ fn session_cmd(action: &str, args: &Args) -> Result<(), String> {
 /// checkpoint.
 fn session_list(args: &Args) -> Result<(), String> {
     let mut db = open_db(args)?;
-    let mut clip_ids: Vec<u64> = db.session_index().iter().map(|&(_, cid)| cid).collect();
-    clip_ids.sort_unstable();
-    clip_ids.dedup();
-    if let Some(only) = args.get("clip-id") {
-        let only: u64 = only
-            .parse()
-            .map_err(|_| format!("--clip-id: cannot parse {only:?}"))?;
-        clip_ids.retain(|&c| c == only);
-    }
+    let only = match args.get("clip-id") {
+        Some(_) => Some(args.num::<u64>("clip-id", 0)?),
+        None => None,
+    };
+    let clip_ids: std::collections::BTreeSet<u64> = db
+        .session_index()
+        .iter()
+        .map(|&(_, cid)| cid)
+        .filter(|&cid| only.is_none_or(|o| o == cid))
+        .collect();
     if clip_ids.is_empty() {
         println!("no stored sessions");
         return Ok(());
@@ -988,19 +892,7 @@ fn session_list(args: &Args) -> Result<(), String> {
     );
     for cid in clip_ids {
         let rows = db.sessions_for_clip(cid).map_err(|e| e.to_string())?;
-        // Latest checkpoint per session id (rows carry full history, so
-        // the most rounds wins; later append breaks ties).
-        let mut latest: std::collections::BTreeMap<u64, (usize, SessionRow)> = Default::default();
-        for (i, r) in rows.into_iter().enumerate() {
-            let replace = match latest.get(&r.session_id) {
-                Some((j, prev)) => (r.feedback.len(), i) > (prev.feedback.len(), *j),
-                None => true,
-            };
-            if replace {
-                latest.insert(r.session_id, (i, r));
-            }
-        }
-        for (sid, (_, r)) in latest {
+        for (sid, r) in latest_checkpoints(rows) {
             println!(
                 "{:<10}{:<8}{:<12}{:<20}{:<8}{:?}",
                 sid,
@@ -1018,34 +910,22 @@ fn session_list(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Rebuilds a stored session's learner by replaying its feedback and
-/// prints the page it would serve now. `--learner` must match the
-/// stored kind — the typed replay error surfaces here.
+/// Resumes a stored session and prints the page it serves now — the
+/// page a server held after the session's last acked round.
+/// `--learner` must match the stored kind; the typed mismatch error
+/// surfaces here.
 fn session_replay(args: &Args) -> Result<(), String> {
-    use tsvr_mil::session::rank_by;
-    use tsvr_mil::Learner;
-    let mut db = open_db(args)?;
-    let clip_id = args.num::<u64>("clip-id", 1)?;
-    let session_id = args.num::<u64>("session", 0)?;
-    let row = stored_session_row(&mut db, clip_id, session_id)?;
-    let bundle = db.load_clip(clip_id).map_err(|e| e.to_string())?;
-    let bags = bags_from_bundle(&bundle, &FeatureConfig::default());
-    let kind = kind_for_row(args, &row)?;
-    let learner = tsvr_core::replay_session(&bags, &row, kind).map_err(|e| e.to_string())?;
-    let ranking = if row.feedback.is_empty() {
-        rank_by(&bags, tsvr_mil::heuristic::bag_score)
-    } else {
-        rank_by(&bags, |b| learner.score(b))
-    };
-    let top_n = args.num::<usize>("top", 20)?.min(ranking.len());
+    let session = resume_stored(&mut open_db(args)?, args)?;
+    let page = session.page(args.num("top", 20)?);
     println!(
-        "session {} (clip {clip_id}, query {:?}, learner {}, {} rounds replayed):",
-        row.session_id,
-        row.query,
-        learner.name(),
-        row.feedback.len()
+        "session {} (clip {}, query {:?}, learner {}, {} rounds replayed):",
+        session.session_id(),
+        session.clip_id(),
+        session.query(),
+        session.learner_name(),
+        session.rounds()
     );
-    println!("  current top {top_n}: {:?}", &ranking[..top_n]);
+    println!("  current top {}: {page:?}", page.len());
     Ok(())
 }
 
@@ -1103,8 +983,7 @@ fn search(args: &Args) -> Result<(), String> {
         // only the labels (incident annotations) are read from bundles.
         let mut parts = Vec::with_capacity(clip_ids.len());
         for &id in &clip_ids {
-            let ds = indexed_dataset(&mut db, id, use_index, rebuild_index)?;
-            let bags = bags_from_dataset(&ds);
+            let bags = indexed_bags(&mut db, id, use_index, rebuild_index)?;
             let bundle = db.load_clip(id).map_err(|e| e.to_string())?;
             let labels = labels_from_bundle(&bundle, &event);
             parts.push((id, bags, labels));
@@ -1146,7 +1025,7 @@ fn search(args: &Args) -> Result<(), String> {
         feedback_rounds: args.num("rounds", 4)?,
         ..SessionConfig::default()
     };
-    let learner = learner_from(args)?;
+    let learner = learner_arg(args)?.unwrap_or_else(LearnerKind::paper_ocsvm);
     let (report, _) =
         RetrievalSession::new(&index.bags, learner.build_for(&index.bags), &oracle, cfg).run();
     for (round, acc) in report.accuracies.iter().enumerate() {
@@ -1541,46 +1420,20 @@ mod tests {
         // Drive the interactive session with canned answers.
         let mut dbh = ShardedDb::open(Path::new(&db)).unwrap();
         let bundle = dbh.load_clip(1).unwrap();
-        let bags = bags_from_bundle(&bundle, &FeatureConfig::default());
+        let bags = Arc::new(bags_from_bundle(&bundle, &FeatureConfig::default()));
         let event = EventQuery::accidents();
         let labels = labels_from_bundle(&bundle, &event);
-        let cfg = SessionConfig {
-            top_n: 3,
-            feedback_rounds: 2,
-            ..SessionConfig::default()
-        };
+        let open = |id| Session::open(id, 1, event.name, LearnerKind::paper_ocsvm(), Arc::clone(&bags));
         let answers = "y\nn\ny\nn\nn\ny\n";
         let mut input = std::io::Cursor::new(answers.as_bytes());
-        interactive_query(
-            &mut dbh,
-            1,
-            &bundle,
-            &bags,
-            &event,
-            &labels,
-            cfg,
-            LearnerKind::paper_ocsvm(),
-            &mut input,
-        )
-        .unwrap();
+        interactive_query(&mut dbh, open(1), &bundle, &labels, 3, 2, &mut input).unwrap();
         let sessions = dbh.sessions_for_clip(1).unwrap();
         assert_eq!(sessions.len(), 1);
         assert_eq!(sessions[0].feedback.len(), 2);
         assert_eq!(sessions[0].feedback[0].len(), 3);
         // Early-closed input is handled too.
         let mut short = std::io::Cursor::new(b"y\n".as_slice());
-        interactive_query(
-            &mut dbh,
-            1,
-            &bundle,
-            &bags,
-            &event,
-            &labels,
-            cfg,
-            LearnerKind::paper_ocsvm(),
-            &mut short,
-        )
-        .unwrap();
+        interactive_query(&mut dbh, open(2), &bundle, &labels, 3, 2, &mut short).unwrap();
         let _ = std::fs::remove_dir_all(&db);
     }
 
@@ -1649,6 +1502,64 @@ mod tests {
             "session", "replay", "--db", &db, "--clip-id", "1", "--session", "99",
         ])
         .is_err());
+        let _ = std::fs::remove_dir_all(&db);
+    }
+
+    #[test]
+    fn cli_session_ids_never_collide_with_served_sessions() {
+        let db = temp_db("id-collision");
+        run(&[
+            "simulate",
+            "--db",
+            &db,
+            "--scenario",
+            "tunnel-small",
+            "--seed",
+            "5",
+            "--clip-id",
+            "1",
+        ])
+        .unwrap();
+        let query = ["query", "--db", &db, "--clip-id", "1", "--rounds", "2", "--top", "5"];
+        run(&query).unwrap();
+        // The server opens session 2 and never labels it (no row is
+        // stored), then session 3 with one acked round.
+        let served = {
+            let service = tsvr_serve::Service::new(
+                ShardedDb::open(Path::new(&db)).unwrap(),
+                tsvr_serve::ServiceConfig::default(),
+            );
+            let ask = |req| service.handle(&tsvr_serve::Envelope::new(req));
+            let open = || tsvr_serve::Request::Open {
+                clip_id: 1,
+                query: "accident".into(),
+                learner: String::new(),
+            };
+            assert!(matches!(ask(open()), tsvr_serve::Response::Opened { session_id: 2, .. }));
+            assert!(matches!(ask(open()), tsvr_serve::Response::Opened { session_id: 3, .. }));
+            let labels = vec![(0, true), (1, false)];
+            assert!(matches!(
+                ask(tsvr_serve::Request::Feedback {
+                    session_id: 3,
+                    labels: labels.clone(),
+                }),
+                tsvr_serve::Response::Learned { round: 1, .. }
+            ));
+            labels
+        };
+        run(&query).unwrap();
+        let mut dbh = ShardedDb::open(Path::new(&db)).unwrap();
+        let latest = latest_checkpoints(dbh.sessions_for_clip(1).unwrap());
+        assert_eq!(latest.keys().copied().collect::<Vec<_>>(), vec![1, 3, 4]);
+        assert_eq!(latest[&4].feedback.len(), 2, "the CLI session got id 4");
+        // Replaying session 3 still returns the server's row.
+        let args = Args::parse(
+            &["--clip-id", "1", "--session", "3"].map(String::from),
+        )
+        .unwrap();
+        let replayed = resume_stored(&mut dbh, &args).unwrap();
+        assert_eq!(replayed.row().feedback, vec![served]);
+        assert_eq!(replayed.row(), &latest[&3]);
         let _ = std::fs::remove_dir_all(&db);
     }
 

@@ -6,7 +6,7 @@
 //! tsvr list     --db traffic.db [--location L] [--camera C]
 //! tsvr info     --db traffic.db --clip-id 1
 //! tsvr query    --db traffic.db --clip-id 1 [--event accident] [--learner ocsvm] [--rounds 4] [--top 20]
-//! tsvr sessions --db traffic.db --clip-id 1
+//! tsvr session list --db traffic.db [--clip-id 1]   (alias: tsvr sessions)
 //! tsvr export   --db traffic.db --clip-id 1 --from 100 --to 115 --out frames/
 //! tsvr compact  --db traffic.db
 //! ```

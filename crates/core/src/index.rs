@@ -158,33 +158,42 @@ pub fn build_index(db: &mut VideoDb, clip_id: u64, dataset: &Dataset) -> Result<
     Ok(())
 }
 
+/// Keeps a stored segment only if it is *fresh* for `config`: its
+/// config hash matches under the current [`PIPELINE_VERSION`] and its
+/// feature width is `config.window_size * 3`. Bumps exactly one of the
+/// `index.hit` / `index.miss` (nothing stored, or a corrupt segment
+/// viddb dropped) / `index.stale` counters. This is the one freshness
+/// rule; [`load_index`] and the query planner both apply it.
+pub fn fresh_segment(
+    stored: Option<IndexSegment>,
+    clip_id: u64,
+    config: &WindowConfig,
+) -> Option<IndexSegment> {
+    let Some(segment) = stored else {
+        tsvr_obs::counter!("index.miss").incr();
+        return None;
+    };
+    if segment.config_hash != config_hash(clip_id, config)
+        || segment.feature_dim as usize != config.window_size * 3
+    {
+        tsvr_obs::counter!("index.stale").incr();
+        return None;
+    }
+    tsvr_obs::counter!("index.hit").incr();
+    Some(segment)
+}
+
 /// Serves a clip's dataset from its stored index, if a *fresh* one
-/// exists.
-///
-/// Returns `Ok(None)` — and bumps the matching `index.miss` /
-/// `index.stale` counter — when no index is stored, the stored segment
-/// is corrupt (viddb drops it), or its config hash does not match
-/// `config` under the current [`PIPELINE_VERSION`]. The caller then
-/// falls back to cold extraction and (typically) [`build_index`].
+/// exists ([`fresh_segment`]). On `Ok(None)` the caller falls back to
+/// cold extraction and (typically) [`build_index`].
 pub fn load_index(
     db: &mut VideoDb,
     clip_id: u64,
     config: &WindowConfig,
 ) -> Result<Option<Dataset>, DbError> {
     let _span = tsvr_obs::span!("index.load");
-    let Some(segment) = db.load_index(clip_id)? else {
-        tsvr_obs::counter!("index.miss").incr();
-        return Ok(None);
-    };
-    let expected = config_hash(clip_id, config);
-    if segment.config_hash != expected
-        || segment.feature_dim as usize != config.window_size * 3
-    {
-        tsvr_obs::counter!("index.stale").incr();
-        return Ok(None);
-    }
-    tsvr_obs::counter!("index.hit").incr();
-    Ok(Some(dataset_from_segment(&segment, *config)))
+    let segment = fresh_segment(db.load_index(clip_id)?, clip_id, config);
+    Ok(segment.map(|segment| dataset_from_segment(&segment, *config)))
 }
 
 /// Reconstructs a dataset from an archived clip bundle's window rows —

@@ -35,11 +35,11 @@ pub mod multiclip;
 pub mod pipeline;
 pub mod qlang;
 pub mod query;
-pub mod replay;
+pub mod session;
 pub mod sketch;
 
 pub use index::{
-    build_index, config_hash, dataset_from_bundle, dataset_from_segment, load_index,
+    build_index, config_hash, dataset_from_bundle, dataset_from_segment, fresh_segment, load_index,
     segment_from_dataset, PIPELINE_VERSION,
 };
 pub use ingest::{archive_clip_video, bags_from_bundle, bundle_from_clip, labels_from_bundle};
@@ -54,5 +54,5 @@ pub use qlang::{
     FeatureField, PlanError, PlanOutcome, PlanStats, Planner, Query, QueryError, NOMINAL_FPS,
 };
 pub use query::{EventQuery, RankedWindow, TopK, UnknownEventName};
-pub use replay::{continue_session, replay_session, ReplayError};
+pub use session::{clip_bags, latest_checkpoints, Session, SessionError};
 pub use sketch::SketchQuery;

@@ -222,6 +222,21 @@ impl LearnerKind {
         })
     }
 
+    /// Parses a learner as users name it: the short names `ocsvm`,
+    /// `wrf`, `misvm`, `dd` and `emdd`, any stored display name
+    /// ([`LearnerKind::from_learner_name`]), or empty for the paper's
+    /// OC-SVM. `None` for anything else.
+    pub fn from_spec(spec: &str) -> Option<LearnerKind> {
+        Some(match spec {
+            "" | "ocsvm" => LearnerKind::paper_ocsvm(),
+            "wrf" => LearnerKind::paper_weighted_rf(),
+            "misvm" => LearnerKind::MiSvm { c: 10.0 },
+            "dd" => LearnerKind::DiverseDensity { scale: 8.0 },
+            "emdd" => LearnerKind::EmDd { scale: 8.0 },
+            name => return LearnerKind::from_learner_name(name),
+        })
+    }
+
     /// Instantiates the learner for a given bag database (needed to
     /// resolve the auto kernel width).
     pub fn build_for(self, bags: &[Bag]) -> Box<dyn Learner> {
@@ -357,6 +372,19 @@ mod tests {
             assert_eq!(back.learner_name(), kind.learner_name());
         }
         assert!(LearnerKind::from_learner_name("NotALearner").is_none());
+        // Short names, display names and the empty default all parse.
+        for (spec, name) in [
+            ("", "MIL_OneClassSVM"),
+            ("ocsvm", "MIL_OneClassSVM"),
+            ("wrf", "Weighted_RF"),
+            ("misvm", "MI-SVM"),
+            ("dd", "DiverseDensity"),
+            ("emdd", "EM-DD"),
+            ("Weighted_RF_raw", "Weighted_RF_raw"),
+        ] {
+            assert_eq!(LearnerKind::from_spec(spec).unwrap().learner_name(), name);
+        }
+        assert!(LearnerKind::from_spec("magic").is_none());
     }
 
     #[test]

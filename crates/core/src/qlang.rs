@@ -49,7 +49,7 @@
 //! Parsing never panics: every failure is a typed [`QueryError`], and
 //! unknown event/class/clause names carry "did-you-mean" suggestions.
 
-use crate::index::{config_hash, dataset_from_segment};
+use crate::index::{dataset_from_segment, fresh_segment};
 use crate::ingest::bags_from_bundle;
 use crate::multiclip::{rank_topk, ClipWindows, Scorer, ShardWindows};
 use crate::pipeline::bags_from_dataset;
@@ -1062,15 +1062,7 @@ impl<'a> Planner<'a> {
         let clip_id = stub.clip_id;
         // A fresh TSIX segment serves the α rows without touching the
         // bundle; events additionally need the bundle's incident rows.
-        let fresh_segment = match db.load_index(clip_id)? {
-            Some(seg)
-                if seg.config_hash == config_hash(clip_id, &self.config)
-                    && seg.feature_dim as usize == self.config.window_size * 3 =>
-            {
-                Some(seg)
-            }
-            _ => None,
-        };
+        let fresh_segment = fresh_segment(db.load_index(clip_id)?, clip_id, &self.config);
         let bundle = if fresh_segment.is_none() || !compiled.events.is_empty() {
             Some(db.load_clip(clip_id)?)
         } else {

@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 use tsvr_core::{
     bags_from_bundle, build_index, bundle_from_clip, dataset_from_bundle, parse_query,
-    prepare_clip, rank_topk, Clause, ClipWindows, Cmp, EventQuery, FeatureField,
+    prepare_clip, rank_topk, segment_from_dataset, Clause, ClipWindows, Cmp, EventQuery, FeatureField,
     PipelineOptions, Planner, Query, RankedWindow, Scorer, ShardWindows, NOMINAL_FPS,
 };
 use tsvr_sim::check;
@@ -297,6 +297,47 @@ fn planner_equals_post_filtered_full_scan() {
         }
     });
     tsvr_par::set_threads(saved);
+}
+
+#[test]
+fn stale_segment_is_skipped_and_counted_as_stale() {
+    let mut archive = build_archive("stale");
+    // Re-store clip 2's segment under another feature configuration,
+    // with doctored α rows: were it served, both the pre-filter and the
+    // scores would change.
+    let mut other = WindowConfig::default();
+    other.features.vdiff_cap += 1.0;
+    let mut stale = segment_from_dataset(2, &dataset_from_bundle(&archive.bundles[1], other));
+    for row in &mut stale.windows {
+        row.features.iter_mut().for_each(|x| *x = *x * 3.0 + 0.5);
+    }
+    for db in [&mut archive.db, &mut archive.single] {
+        db.put_index(&stale).expect("put stale index");
+    }
+    archive.db.sync().expect("sync");
+    let stale_count = || tsvr_obs::counter!("index.stale").get();
+    check::cases(24, |case, rng| {
+        let query = random_query(rng);
+        let k = 1 + rng.uniform_usize(12);
+        let planner = Planner::new(k);
+        let reference = reference_topk(&archive, &query, k);
+        let ctx = format!("case {case}: {query}");
+        for db in [&mut archive.db, &mut archive.single] {
+            let out = planner.run(db, &query, Scorer::Heuristic).expect("plan");
+            assert_same_ranking(&out.ranking, &reference, &ctx);
+        }
+    });
+    // A query that reaches every clip consults clip 2's segment, and
+    // the planner counts it like `load_index` does.
+    let before = stale_count();
+    let everything = Query { clauses: vec![] };
+    let out = Planner::new(5)
+        .run(&mut archive.db, &everything, Scorer::Heuristic)
+        .expect("plan");
+    assert_same_ranking(&out.ranking, &reference_topk(&archive, &everything, 5), "no clauses");
+    if tsvr_obs::is_enabled() {
+        assert!(stale_count() > before, "stale segment not counted as index.stale");
+    }
 }
 
 #[test]

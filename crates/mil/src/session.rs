@@ -59,6 +59,23 @@ impl Learner for Box<dyn Learner> {
     }
 }
 
+/// A borrowed learner drives a session too, so a caller that owns the
+/// learner (a live `tsvr_core::Session`) keeps it after `run`.
+impl<L: Learner + ?Sized> Learner for &mut L {
+    fn learn(&mut self, bags: &[Bag], feedback: &[(usize, bool)]) {
+        (**self).learn(bags, feedback)
+    }
+    fn score(&self, bag: &Bag) -> f64 {
+        (**self).score(bag)
+    }
+    fn score_all(&self, bags: &[Bag]) -> Vec<f64> {
+        (**self).score_all(bags)
+    }
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+}
+
 /// Session parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {

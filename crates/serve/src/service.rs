@@ -4,9 +4,9 @@
 //! ## Durability contract
 //!
 //! A `learned` response is only sent after the round's checkpoint — a
-//! full-history [`SessionRow`] — has been appended **and synced** to the
-//! database. Crash the process at any storage operation and every round
-//! the client was told about is replayable via [`tsvr_core::replay_session`];
+//! full-history [`SessionRow`](tsvr_viddb::SessionRow) — has been
+//! appended **and synced** to the database. Crash the process at any storage operation and every round
+//! the client was told about is resumable via [`Session::resume`];
 //! rounds that never got their `learned` ack may be lost, which is
 //! exactly the at-most-once promise a client can reason about. Because
 //! every checkpoint row carries the complete feedback history, a single
@@ -15,13 +15,19 @@
 //!
 //! ## Concurrency model
 //!
+//! Every session is a [`tsvr_core::Session`], which owns the protocol's
+//! rules (heuristic first page, learn-then-re-rank rounds, replay on
+//! resume); this module adds locking, deadlines, error mapping, the
+//! checkpoint and metrics around it.
+//!
 //! One mutex per session serializes that client's requests; different
 //! sessions only contend on three short-held maps (database handle,
 //! clip cache, session table). The expensive work — scoring every bag —
 //! runs outside all service locks except the owning session's, and fans
 //! out internally on the bounded [`tsvr_par`] pool via
-//! [`Learner::score_all`]. Lock order is `session state → db`; nothing
-//! acquires a session lock while holding the db lock.
+//! [`Learner::score_all`](tsvr_mil::Learner::score_all). Lock order is
+//! `session → db`; nothing acquires a session lock while holding the db
+//! lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,12 +35,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::proto::{Envelope, ErrorKind, Request, Response, ServeError, SessionSummary};
-use tsvr_core::{bags_from_bundle, bags_from_dataset, LearnerKind};
-use tsvr_mil::session::rank_scores;
-use tsvr_mil::{heuristic, Bag, Learner};
-use tsvr_trajectory::checkpoint::FeatureConfig;
-use tsvr_trajectory::WindowConfig;
-use tsvr_viddb::{DbError, SessionRow, ShardedDb};
+use tsvr_core::{latest_checkpoints, LearnerKind, Session, SessionError};
+use tsvr_mil::Bag;
+use tsvr_viddb::{DbError, ShardedDb};
 
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -55,20 +58,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One live session's state. Owned by its mutex; the learner inside is
-/// exactly what a replay of the recorded feedback would rebuild.
-struct SessionState {
-    clip_id: u64,
-    query: String,
-    learner: Box<dyn Learner>,
-    bags: Arc<Vec<Bag>>,
-    /// Full feedback history, one inner vec per completed round.
-    feedback: Vec<Vec<(u32, bool)>>,
-    /// Current full ranking (heuristic before any feedback, learner
-    /// scores after).
-    ranking: Vec<usize>,
-}
-
 /// The concurrent retrieval service. Wrap it in an [`Arc`] and call
 /// [`Service::handle`] from any number of threads; the TCP server in
 /// [`crate::server`] is one such caller, tests and the CLI are others.
@@ -77,23 +66,10 @@ pub struct Service {
     /// Per-clip bag cache: loaded once (index-served when fresh),
     /// shared read-only by every session on the clip.
     clips: Mutex<HashMap<u64, Arc<Vec<Bag>>>>,
-    sessions: Mutex<HashMap<u64, Arc<Mutex<SessionState>>>>,
+    sessions: Mutex<HashMap<u64, Arc<Mutex<Session>>>>,
     next_id: AtomicU64,
     draining: AtomicBool,
     cfg: ServiceConfig,
-}
-
-/// Parses a learner spec: the CLI's short names, a stored learner
-/// display name, or empty for the paper default.
-fn learner_kind_from_spec(spec: &str) -> Option<LearnerKind> {
-    Some(match spec {
-        "" | "ocsvm" => LearnerKind::paper_ocsvm(),
-        "wrf" => LearnerKind::paper_weighted_rf(),
-        "misvm" => LearnerKind::MiSvm { c: 10.0 },
-        "dd" => LearnerKind::DiverseDensity { scale: 8.0 },
-        "emdd" => LearnerKind::EmDd { scale: 8.0 },
-        other => LearnerKind::from_learner_name(other)?,
-    })
 }
 
 /// Builds an error response, stamping it with the current trace id so a
@@ -116,6 +92,31 @@ fn db_err(e: &DbError) -> Response {
     }
 }
 
+/// A handler's outcome; `Err` holds an already-built error response,
+/// so handlers can bail out with `?`.
+type Reply = Result<Response, Response>;
+
+/// Parses a request's learner spec; an unknown one is `bad_request`.
+fn learner_kind(spec: &str) -> Result<LearnerKind, Response> {
+    LearnerKind::from_spec(spec)
+        .ok_or_else(|| err(ErrorKind::BadRequest, format!("unknown learner {spec:?}")))
+}
+
+/// Maps a session-rule refusal to its wire error. Learner refusals
+/// are incidents: the flight recorder keeps them for the operator.
+fn session_err(session_id: u64, e: &SessionError) -> Response {
+    match e {
+        SessionError::LearnerMismatch { .. } | SessionError::UnknownLearner { .. } => {
+            tsvr_obs::trace::incident(
+                "serve.learner.mismatch",
+                &format!("session {session_id}: replay refused: {e}"),
+            );
+            err(ErrorKind::LearnerMismatch, e.to_string())
+        }
+        SessionError::WindowOutOfRange { .. } => err(ErrorKind::BadRequest, e.to_string()),
+    }
+}
+
 /// A request's time budget, measured from service entry.
 #[derive(Clone, Copy)]
 struct Deadline {
@@ -132,21 +133,20 @@ impl Deadline {
         }
     }
 
-    /// `Some(error)` once the budget is spent. Checked before each
+    /// An error once the budget is spent. Checked before each
     /// expensive stage; a round whose training already started always
     /// runs to completion (and checkpoints), so the deadline bounds
     /// queue + startup cost without ever leaving a half-applied round.
-    fn check(&self) -> Option<Response> {
-        let budget = self.budget?;
-        if self.started.elapsed() < budget {
-            return None;
-        }
+    fn check(&self) -> Result<(), Response> {
+        let Some(budget) = self.budget.filter(|&b| self.started.elapsed() >= b) else {
+            return Ok(());
+        };
         tsvr_obs::counter!("serve.deadline_exceeded").incr();
         tsvr_obs::trace::incident(
             "serve.deadline_exceeded",
             &format!("budget {budget:?} spent before the work started"),
         );
-        Some(err(
+        Err(err(
             ErrorKind::DeadlineExceeded,
             format!("deadline of {budget:?} expired before the work started"),
         ))
@@ -229,21 +229,22 @@ impl Service {
             }
             Request::Query { expr, k } => self.query(expr, *k, deadline),
             Request::Sessions { clip_id } => self.list_sessions(*clip_id),
-            Request::Close { session_id } => self.close(*session_id),
-            Request::Ping => Response::Pong,
-            Request::Stats => Response::Stats {
+            Request::Close { session_id } => Ok(self.close(*session_id)),
+            Request::Ping => Ok(Response::Pong),
+            Request::Stats => Ok(Response::Stats {
                 snapshot: tsvr_obs::snapshot(),
-            },
-            Request::Trace { trace_id } => Self::trace_of(*trace_id),
-            Request::Slowlog => Response::Slowlog {
+            }),
+            Request::Trace { trace_id } => Ok(Self::trace_of(*trace_id)),
+            Request::Slowlog => Ok(Response::Slowlog {
                 threshold_ns: tsvr_obs::trace::slow_threshold_ns(),
                 entries: tsvr_obs::trace::slowlog(),
-            },
+            }),
             Request::Shutdown => {
                 self.begin_drain();
-                Response::ShuttingDown
+                Ok(Response::ShuttingDown)
             }
-        };
+        }
+        .unwrap_or_else(|e| e);
         // Per-op latency with a label dimension (`serve.latency{op=x}`),
         // alongside the per-endpoint histograms the spans feed.
         if let Some(t0) = labeled_t0 {
@@ -276,29 +277,17 @@ impl Service {
         }
     }
 
-    /// The clip's bag database: cached, else served from its stored
-    /// feature index when fresh, else rebuilt from the archived bundle.
-    /// All three paths yield bit-identical bags (PR-4 invariant), and
-    /// none re-runs vision work.
+    /// The clip's bag database: cached, else loaded by
+    /// [`tsvr_core::clip_bags`] (fresh index, else the archived bundle;
+    /// bit-identical either way, and neither re-runs vision work).
     fn clip_bags(&self, clip_id: u64) -> Result<Arc<Vec<Bag>>, Response> {
         if let Some(bags) = self.clips.lock().unwrap().get(&clip_id) {
             return Ok(Arc::clone(bags));
         }
         // Load outside the cache lock; a racing load computes the same
         // value, and the first insert wins.
-        let bags = {
-            let mut db = self.db.lock().unwrap();
-            let wcfg = WindowConfig::default();
-            let vdb = db.routed_shard(clip_id).map_err(|e| db_err(&e))?;
-            match tsvr_core::load_index(vdb, clip_id, &wcfg) {
-                Ok(Some(ds)) => bags_from_dataset(&ds),
-                Ok(None) => {
-                    let bundle = vdb.load_clip(clip_id).map_err(|e| db_err(&e))?;
-                    bags_from_bundle(&bundle, &FeatureConfig::default())
-                }
-                Err(e) => return Err(db_err(&e)),
-            }
-        };
+        let bags = tsvr_core::clip_bags(&mut self.db.lock().unwrap(), clip_id)
+            .map_err(|e| db_err(&e))?;
         let bags = Arc::new(bags);
         Ok(Arc::clone(
             self.clips
@@ -309,7 +298,7 @@ impl Service {
         ))
     }
 
-    fn session(&self, session_id: u64) -> Result<Arc<Mutex<SessionState>>, Response> {
+    fn session(&self, session_id: u64) -> Result<Arc<Mutex<Session>>, Response> {
         self.sessions
             .lock()
             .unwrap()
@@ -323,47 +312,17 @@ impl Service {
             })
     }
 
-    fn open(&self, clip_id: u64, query: &str, learner: &str, deadline: Deadline) -> Response {
-        if self.is_draining() {
-            return err(ErrorKind::ShuttingDown, "server is draining");
-        }
-        let Some(kind) = learner_kind_from_spec(learner) else {
-            return err(ErrorKind::BadRequest, format!("unknown learner {learner:?}"));
-        };
-        let bags = match self.clip_bags(clip_id) {
-            Ok(b) => b,
-            Err(resp) => return resp,
-        };
-        if let Some(resp) = deadline.check() {
-            return resp;
-        }
-        let learner = kind.build_for(&bags);
-        let ranking = rank_scores(&bags, &heuristic::bag_scores(&bags));
+    fn open(&self, clip_id: u64, query: &str, learner: &str, deadline: Deadline) -> Reply {
+        self.refuse_if_draining()?;
+        let kind = learner_kind(learner)?;
+        let bags = self.clip_bags(clip_id)?;
+        deadline.check()?;
         let session_id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        let state = SessionState {
-            clip_id,
-            query: query.to_string(),
-            learner,
-            bags,
-            feedback: Vec::new(),
-            ranking,
-        };
-        let windows = state.bags.len();
-        let name = state.learner.name().to_string();
-        self.sessions
-            .lock()
-            .unwrap()
-            .insert(session_id, Arc::new(Mutex::new(state)));
+        let opened = self.install(Session::open(session_id, clip_id, query, kind, bags));
         tsvr_obs::counter!("serve.sessions.opened").incr();
         tsvr_obs::counter_labeled("serve.sessions.opened", &format!("session={session_id}"))
             .incr();
-        Response::Opened {
-            session_id,
-            clip_id,
-            windows,
-            rounds: 0,
-            learner: name,
-        }
+        Ok(opened)
     }
 
     fn resume(
@@ -372,166 +331,91 @@ impl Service {
         session_id: u64,
         learner: Option<&str>,
         deadline: Deadline,
-    ) -> Response {
-        if self.is_draining() {
-            return err(ErrorKind::ShuttingDown, "server is draining");
-        }
-        // Checkpoints carry full history, so the row with the most
-        // rounds is the latest state; among equals, the later append
-        // wins.
-        let row = {
-            let mut db = self.db.lock().unwrap();
-            let rows = match db.sessions_for_clip(clip_id) {
-                Ok(rows) => rows,
-                Err(e) => return db_err(&e),
-            };
-            match rows
-                .into_iter()
-                .enumerate()
-                .filter(|(_, r)| r.session_id == session_id)
-                .max_by_key(|(i, r)| (r.feedback.len(), *i))
-            {
-                Some((_, row)) => row,
-                None => {
-                    return err(
-                        ErrorKind::NotFound,
-                        format!("no stored session {session_id} for clip {clip_id}"),
-                    )
-                }
-            }
-        };
-        let kind = match learner {
-            Some(spec) => match learner_kind_from_spec(spec) {
-                Some(k) => k,
-                None => return err(ErrorKind::BadRequest, format!("unknown learner {spec:?}")),
-            },
-            None => match LearnerKind::from_learner_name(&row.learner) {
-                Some(k) => k,
-                None => {
-                    tsvr_obs::trace::incident(
-                        "serve.learner.mismatch",
-                        &format!("session {session_id}: stored learner {:?} unknown", row.learner),
-                    );
-                    return err(
-                        ErrorKind::LearnerMismatch,
-                        format!("stored session uses unknown learner {:?}", row.learner),
-                    )
-                }
-            },
-        };
-        let bags = match self.clip_bags(clip_id) {
-            Ok(b) => b,
-            Err(resp) => return resp,
-        };
-        if let Some(resp) = deadline.check() {
-            return resp;
-        }
-        let learner = match tsvr_core::replay_session(&bags, &row, kind) {
-            Ok(l) => l,
-            Err(e) => {
-                tsvr_obs::trace::incident(
-                    "serve.learner.mismatch",
-                    &format!("session {session_id}: replay refused: {e}"),
-                );
-                return err(ErrorKind::LearnerMismatch, e.to_string());
-            }
-        };
-        // Reproduce the exact post-round ranking the original session
-        // last served: heuristic before any feedback, learner scores
-        // after.
-        let ranking = if row.feedback.is_empty() {
-            rank_scores(&bags, &heuristic::bag_scores(&bags))
-        } else {
-            rank_scores(&bags, &learner.score_all(&bags))
-        };
-        let rounds = row.feedback.len();
-        let name = learner.name().to_string();
-        let state = SessionState {
-            clip_id,
-            query: row.query.clone(),
-            learner,
-            bags,
-            feedback: row.feedback.clone(),
-            ranking,
-        };
-        let windows = state.bags.len();
-        self.sessions
+    ) -> Reply {
+        self.refuse_if_draining()?;
+        let rows = self
+            .db
             .lock()
             .unwrap()
-            .insert(session_id, Arc::new(Mutex::new(state)));
+            .sessions_for_clip(clip_id)
+            .map_err(|e| db_err(&e))?;
+        let row = latest_checkpoints(rows).remove(&session_id).ok_or_else(|| {
+            err(
+                ErrorKind::NotFound,
+                format!("no stored session {session_id} for clip {clip_id}"),
+            )
+        })?;
+        // No learner named: the one the stored row names.
+        let kind = learner.map(learner_kind).transpose()?;
+        let bags = self.clip_bags(clip_id)?;
+        deadline.check()?;
+        let session = Session::resume(&row, kind, bags).map_err(|e| session_err(session_id, &e))?;
+        let opened = self.install(session);
         // Fresh ids must never collide with a resumed one.
         self.next_id.fetch_max(session_id + 1, Ordering::SeqCst);
         tsvr_obs::counter!("serve.sessions.resumed").incr();
-        Response::Opened {
-            session_id,
-            clip_id,
-            windows,
-            rounds,
-            learner: name,
-        }
+        Ok(opened)
     }
 
-    fn page(&self, session_id: u64, n: Option<usize>) -> Response {
-        let state = match self.session(session_id) {
-            Ok(s) => s,
-            Err(resp) => return resp,
-        };
-        let state = state.lock().unwrap();
-        let n = n.unwrap_or(self.cfg.default_top_n).min(state.ranking.len());
-        Response::Page {
-            session_id,
-            round: state.feedback.len(),
-            ranking: state.ranking[..n].iter().map(|&w| w as u64).collect(),
+    fn refuse_if_draining(&self) -> Result<(), Response> {
+        if self.is_draining() {
+            return Err(err(ErrorKind::ShuttingDown, "server is draining"));
         }
+        Ok(())
     }
 
-    fn feedback(&self, session_id: u64, labels: &[(u32, bool)], deadline: Deadline) -> Response {
-        let state = match self.session(session_id) {
-            Ok(s) => s,
-            Err(resp) => return resp,
+    /// Makes `session` live (replacing any live session with its id)
+    /// and describes it as the `opened` response.
+    fn install(&self, session: Session) -> Response {
+        let opened = Response::Opened {
+            session_id: session.session_id(),
+            clip_id: session.clip_id(),
+            windows: session.bags().len(),
+            rounds: session.rounds(),
+            learner: session.learner_name().to_string(),
         };
-        let mut state = state.lock().unwrap();
-        if labels
-            .iter()
-            .any(|&(w, _)| (w as usize) >= state.bags.len())
-        {
-            return err(
-                ErrorKind::BadRequest,
-                format!("label window out of range (clip has {} windows)", state.bags.len()),
-            );
-        }
-        if let Some(resp) = deadline.check() {
-            return resp;
-        }
-        let feedback: Vec<(usize, bool)> =
-            labels.iter().map(|&(w, r)| (w as usize, r)).collect();
-        {
+        self.sessions
+            .lock()
+            .unwrap()
+            .insert(session.session_id(), Arc::new(Mutex::new(session)));
+        opened
+    }
+
+    fn page(&self, session_id: u64, n: Option<usize>) -> Reply {
+        let session = self.session(session_id)?;
+        let session = session.lock().unwrap();
+        Ok(Response::Page {
+            session_id,
+            round: session.rounds(),
+            ranking: session
+                .page(n.unwrap_or(self.cfg.default_top_n))
+                .iter()
+                .map(|&w| w as u64)
+                .collect(),
+        })
+    }
+
+    fn feedback(&self, session_id: u64, labels: &[(u32, bool)], deadline: Deadline) -> Reply {
+        let session = self.session(session_id)?;
+        let mut session = session.lock().unwrap();
+        // A malformed round is a `bad_request` even past its deadline.
+        let labels: Vec<(usize, bool)> = labels.iter().map(|&(w, r)| (w as usize, r)).collect();
+        session
+            .check_labels(&labels)
+            .map_err(|e| session_err(session_id, &e))?;
+        deadline.check()?;
+        let row = {
             let _span = tsvr_obs::tspan!("serve.learn");
-            let SessionState {
-                learner,
-                bags,
-                ranking,
-                ..
-            } = &mut *state;
-            let bags: &[Bag] = bags.as_slice();
-            learner.learn(bags, &feedback);
-            *ranking = rank_scores(bags, &learner.score_all(bags));
-        }
-        state.feedback.push(labels.to_vec());
+            session
+                .feedback(&labels)
+                .map_err(|e| session_err(session_id, &e))?
+        };
         // Durability point: the `learned` ack goes out only after the
         // full-history checkpoint is appended AND synced.
-        let row = SessionRow {
-            session_id,
-            clip_id: state.clip_id,
-            query: state.query.clone(),
-            learner: state.learner.name().into(),
-            feedback: state.feedback.clone(),
-            accuracies: Vec::new(),
-        };
         {
             let _span = tsvr_obs::tspan!("serve.checkpoint");
             let mut db = self.db.lock().unwrap();
-            if let Err(e) = db.put_session(&row).and_then(|()| db.sync()) {
+            if let Err(e) = db.put_session(row).and_then(|()| db.sync()) {
                 // The in-memory session is ahead of disk; the next
                 // successful checkpoint carries this round too, because
                 // rows hold the full history. A lost checkpoint is the
@@ -539,21 +423,21 @@ impl Service {
                 tsvr_obs::counter!("serve.checkpoint.failed").incr();
                 tsvr_obs::trace::incident_dump(
                     "serve.checkpoint.failed",
-                    &format!("session {session_id} round {}: {e}", state.feedback.len()),
+                    &format!("session {session_id} round {}: {e}", row.feedback.len()),
                 );
-                return err(
+                return Err(err(
                     ErrorKind::Storage,
                     format!("round applied in memory but NOT durable: {e}"),
-                );
+                ));
             }
         }
         tsvr_obs::counter!("serve.rounds.checkpointed").incr();
         tsvr_obs::counter_labeled("serve.rounds.checkpointed", &format!("session={session_id}"))
             .incr();
-        Response::Learned {
+        Ok(Response::Learned {
             session_id,
-            round: state.feedback.len(),
-        }
+            round: row.feedback.len(),
+        })
     }
 
     /// Answers a `query` request: parse the expression, run the
@@ -562,17 +446,13 @@ impl Service {
     /// their did-you-mean suggestions) and unevaluable class predicates
     /// are `bad_request`; quarantined-but-relevant shards do *not* fail
     /// the request — they come back in the `degraded` list.
-    fn query(&self, expr: &str, k: Option<usize>, deadline: Deadline) -> Response {
-        let parsed = match tsvr_core::parse_query(expr) {
-            Ok(q) => q,
-            Err(e) => return err(ErrorKind::BadRequest, format!("query: {e}")),
-        };
-        if let Some(resp) = deadline.check() {
-            return resp;
-        }
+    fn query(&self, expr: &str, k: Option<usize>, deadline: Deadline) -> Reply {
+        let parsed = tsvr_core::parse_query(expr)
+            .map_err(|e| err(ErrorKind::BadRequest, format!("query: {e}")))?;
+        deadline.check()?;
         let planner = tsvr_core::Planner::new(k.unwrap_or(self.cfg.default_top_n));
         let mut db = self.db.lock().unwrap();
-        match planner.run(&mut db, &parsed, tsvr_core::Scorer::Heuristic) {
+        Ok(match planner.run(&mut db, &parsed, tsvr_core::Scorer::Heuristic) {
             Ok(out) => {
                 if !out.degraded.is_empty() {
                     tsvr_obs::counter!("serve.query.partial").incr();
@@ -592,56 +472,46 @@ impl Service {
                 err(ErrorKind::BadRequest, e.to_string())
             }
             Err(tsvr_core::PlanError::Query(e)) => err(ErrorKind::BadRequest, format!("query: {e}")),
-        }
+        })
     }
 
-    fn list_sessions(&self, clip_id: u64) -> Response {
+    fn list_sessions(&self, clip_id: u64) -> Reply {
         // Stored rows first (db lock dropped before touching session
         // locks — see the module's lock-order note)...
-        let rows = match self.db.lock().unwrap().sessions_for_clip(clip_id) {
-            Ok(rows) => rows,
-            Err(e) => return db_err(&e),
-        };
-        let mut by_id: std::collections::BTreeMap<u64, SessionSummary> = std::collections::BTreeMap::new();
-        for r in rows {
-            let entry = by_id.entry(r.session_id).or_insert_with(|| SessionSummary {
-                session_id: r.session_id,
-                clip_id: r.clip_id,
-                query: r.query.clone(),
-                learner: r.learner.clone(),
-                rounds: 0,
-                live: false,
-            });
-            entry.rounds = entry.rounds.max(r.feedback.len());
-        }
-        // ...then live sessions overlay them (a live session is never
-        // behind its last checkpoint).
-        let live: Vec<(u64, Arc<Mutex<SessionState>>)> = self
-            .sessions
+        let rows = self
+            .db
             .lock()
             .unwrap()
-            .iter()
-            .map(|(&id, s)| (id, Arc::clone(s)))
+            .sessions_for_clip(clip_id)
+            .map_err(|e| db_err(&e))?;
+        let summary = |session_id, query: &str, learner: &str, rounds, live| SessionSummary {
+            session_id,
+            clip_id,
+            query: query.to_string(),
+            learner: learner.to_string(),
+            rounds,
+            live,
+        };
+        let mut by_id: std::collections::BTreeMap<u64, SessionSummary> = latest_checkpoints(rows)
+            .into_iter()
+            .map(|(id, r)| (id, summary(id, &r.query, &r.learner, r.feedback.len(), false)))
             .collect();
-        for (id, state) in live {
-            let state = state.lock().unwrap();
-            if state.clip_id != clip_id {
-                continue;
+        // ...then live sessions overlay them (a live session is never
+        // behind its last checkpoint).
+        let live: Vec<Arc<Mutex<Session>>> =
+            self.sessions.lock().unwrap().values().cloned().collect();
+        for session in live {
+            let s = session.lock().unwrap();
+            if s.clip_id() == clip_id {
+                let id = s.session_id();
+                let stored = by_id.get(&id).map_or(0, |e| e.rounds);
+                let rounds = s.rounds().max(stored);
+                by_id.insert(id, summary(id, s.query(), s.learner_name(), rounds, true));
             }
-            let entry = by_id.entry(id).or_insert_with(|| SessionSummary {
-                session_id: id,
-                clip_id,
-                query: state.query.clone(),
-                learner: state.learner.name().into(),
-                rounds: 0,
-                live: true,
-            });
-            entry.live = true;
-            entry.rounds = entry.rounds.max(state.feedback.len());
         }
-        Response::Sessions {
+        Ok(Response::Sessions {
             sessions: by_id.into_values().collect(),
-        }
+        })
     }
 
     fn close(&self, session_id: u64) -> Response {

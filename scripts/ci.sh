@@ -74,6 +74,7 @@ expect() { # expect <needle> — send stdin line, read one response, grep it
     local needle="$1" line
     read -r line <&3
     echo "   <- $line"
+    last="$line"
     [[ "$line" == *"$needle"* ]] || {
         echo "serve smoke: expected '$needle' in response" >&2
         kill "$serve_pid" 2>/dev/null || true
@@ -88,6 +89,8 @@ send '{"op":"page","session_id":1,"n":5}';               expect '"ok":"page"'
 send '{"op":"feedback","session_id":1,"labels":[[0,true],[1,false]]}'
                                                          expect '"ok":"learned"'
 send '{"op":"page","session_id":1,"n":5}';               expect '"ok":"page"'
+# The page served after the acked round, e.g. "6,8,9,15,10".
+served_top="$(sed -n 's/.*"ranking":\[\([0-9,]*\)\].*/\1/p' <<<"$last")"
 send '{"op":"page","session_id":99}';                    expect '"error":"not_found"'
 # Query language over the wire: a planned query answers with a plan
 # receipt; a typo'd event name is a typed error with a suggestion.
@@ -115,6 +118,12 @@ wait "$serve_pid"
 ./target/release/tsvr session replay --db "$smoke/smoke.db" \
     --clip-id 1 --session 1 --top 5 | tee "$smoke/replay.out"
 grep -q "1 rounds replayed" "$smoke/replay.out"
+# ...and the replay, in another process, serves the page the server did.
+replayed_top="$(sed -n 's/.*current top [0-9]*: \[\(.*\)\]/\1/p' "$smoke/replay.out" | tr -d ' ')"
+[[ -n "$served_top" && "$served_top" == "$replayed_top" ]] || {
+    echo "serve smoke: served top 5 [$served_top] != replayed [$replayed_top]" >&2
+    exit 1
+}
 # Cross-check the planner surfaces: the local CLI (planning directly
 # against the database) must print exactly what the remote CLI printed
 # while proxying through the server.
