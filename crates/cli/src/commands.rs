@@ -204,13 +204,14 @@ fn ops_request(addr: &str, req: tsvr_serve::Request) -> Result<tsvr_serve::Respo
     use std::io::{BufRead, BufReader, Write};
     let stream =
         std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-    writeln!(
-        writer,
-        "{}",
-        tsvr_serve::encode_request(&tsvr_serve::Envelope::new(req))
-    )
-    .map_err(|e| e.to_string())?;
+    // Nagle off and one write per line, like the server (see
+    // `tsvr_serve::server`'s "Framing").
+    stream.set_nodelay(true).map_err(|e| e.to_string())?;
+    let mut request = tsvr_serve::encode_request(&tsvr_serve::Envelope::new(req));
+    request.push('\n');
+    (&stream)
+        .write_all(request.as_bytes())
+        .map_err(|e| e.to_string())?;
     let mut line = String::new();
     BufReader::new(stream)
         .read_line(&mut line)

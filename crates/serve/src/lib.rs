@@ -409,6 +409,25 @@ mod tests {
         }
     }
 
+    /// One TCP client connection, framed like the server: Nagle off,
+    /// each request line sent with one `write_all`, one response line
+    /// read back.
+    fn tcp_client(addr: std::net::SocketAddr) -> impl FnMut(Request) -> Response {
+        use std::io::{BufRead, Write};
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = std::io::BufReader::new(stream);
+        move |req: Request| {
+            let mut line = encode_request(&Envelope::new(req));
+            line.push('\n');
+            writer.write_all(line.as_bytes()).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            decode_response(&reply).unwrap()
+        }
+    }
+
     /// open → page → feedback → page over `call`, returning both pages
     /// as `(round, ranking)`. `salt` varies the labels, so concurrent
     /// sessions learn different models and a crossed wire shows.
@@ -446,7 +465,6 @@ mod tests {
     /// each client's pages must equal the same script run through
     /// [`Service::handle`] on a fresh service.
     fn tcp_clients_match_in_process(clients: usize) {
-        use std::io::{BufRead, Write};
         let service = Arc::new(Service::new(seeded_db(&[1]), ServiceConfig::default()));
         let reference = Service::new(seeded_db(&[1]), ServiceConfig::default());
         let server = Server::start(
@@ -459,22 +477,11 @@ mod tests {
         )
         .unwrap();
         let addr = server.addr();
-        let connect = || {
-            let stream = std::net::TcpStream::connect(addr).unwrap();
-            let mut writer = stream.try_clone().unwrap();
-            let mut reader = std::io::BufReader::new(stream);
-            move |req: Request| -> Response {
-                writeln!(writer, "{}", encode_request(&Envelope::new(req))).unwrap();
-                let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
-                decode_response(&line).unwrap()
-            }
-        };
 
         let barrier = Arc::new(std::sync::Barrier::new(clients));
         let served: Vec<_> = (0..clients as u64)
             .map(|salt| {
-                let mut send = connect();
+                let mut send = tcp_client(addr);
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     assert_eq!(send(Request::Ping), Response::Pong);
@@ -497,7 +504,7 @@ mod tests {
             );
         }
 
-        assert_eq!(connect()(Request::Shutdown), Response::ShuttingDown);
+        assert_eq!(tcp_client(addr)(Request::Shutdown), Response::ShuttingDown);
         server.join();
         // After drain the listener is closed: connecting now fails.
         assert!(std::net::TcpStream::connect(addr).is_err());
@@ -527,19 +534,10 @@ mod tests {
         .unwrap();
         let addr = server.addr();
 
-        let pinned = std::net::TcpStream::connect(addr).unwrap();
-        {
-            // A ping round trip guarantees the worker has taken this
-            // connection off the queue before the next ones arrive.
-            use std::io::Write;
-            let mut w = pinned.try_clone().unwrap();
-            writeln!(w, "{}", encode_request(&Envelope::new(Request::Ping))).unwrap();
-            let mut line = String::new();
-            std::io::BufReader::new(pinned.try_clone().unwrap())
-                .read_line(&mut line)
-                .unwrap();
-            assert_eq!(decode_response(&line).unwrap(), Response::Pong);
-        }
+        // A ping round trip guarantees the worker has taken this
+        // connection off the queue before the next ones arrive.
+        let mut pinned = tcp_client(addr);
+        assert_eq!(pinned(Request::Ping), Response::Pong);
         let _queued = std::net::TcpStream::connect(addr).unwrap();
         // Give the accept thread time to queue it.
         std::thread::sleep(std::time::Duration::from_millis(100));
@@ -584,12 +582,35 @@ mod tests {
         writer.join().unwrap();
 
         // The one worker is free again: a new connection gets pong.
-        let fresh = std::net::TcpStream::connect(addr).unwrap();
-        let mut w = fresh.try_clone().unwrap();
-        writeln!(w, "{}", encode_request(&Envelope::new(Request::Ping))).unwrap();
-        let mut line = String::new();
-        std::io::BufReader::new(fresh).read_line(&mut line).unwrap();
-        assert_eq!(decode_response(&line).unwrap(), Response::Pong);
+        assert_eq!(tcp_client(addr)(Request::Ping), Response::Pong);
+        server.shutdown();
+    }
+
+    /// Regression test for the Nagle/delayed-ACK stall: a response
+    /// written in two segments without `TCP_NODELAY` costs ~40 ms per
+    /// round trip, while a framed one costs well under a millisecond on
+    /// loopback.
+    #[test]
+    fn tcp_round_trips_do_not_stall() {
+        let service = Arc::new(Service::new(seeded_db(&[1]), ServiceConfig::default()));
+        let server = Server::start(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut send = tcp_client(server.addr());
+        for _ in 0..5 {
+            assert_eq!(send(Request::Ping), Response::Pong);
+        }
+        let mut round_trips: Vec<std::time::Duration> = (0..40)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                assert_eq!(send(Request::Ping), Response::Pong);
+                t.elapsed()
+            })
+            .collect();
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < std::time::Duration::from_millis(10),
+            "median ping round trip {median:?}: responses are stalling"
+        );
         server.shutdown();
     }
 }

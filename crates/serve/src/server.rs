@@ -17,6 +17,18 @@
 //! response it is currently producing. `learned` acks are durable
 //! before they are written (see [`crate::service`]), so a drain never
 //! loses a round a client saw confirmed.
+//!
+//! ## Framing
+//!
+//! Every response line — a normal reply, the oversized-line
+//! `bad_request` and the `overloaded` shed — leaves through
+//! [`write_line`]: one `write_all` of the encoded response plus its
+//! `\n`, on a socket with `TCP_NODELAY` set at accept. Both halves are
+//! needed. Writing the body and the newline separately sends two
+//! segments, and Nagle holds the second until the client's delayed ACK
+//! (~40 ms) — a fixed stall on every request. A single write still ends
+//! a response larger than one MSS in a partial segment that Nagle holds
+//! the same way, so Nagle is off for every connection.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read, Write};
@@ -155,6 +167,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         match listener.accept() {
             Ok((stream, _)) => {
                 tsvr_obs::counter!("serve.accepted").incr();
+                let _ = stream.set_nodelay(true);
                 enqueue(shared, stream);
             }
             Err(e) if e.kind() == IoErrorKind::WouldBlock => {
@@ -182,7 +195,7 @@ fn enqueue(shared: &Shared, mut stream: TcpStream) {
                 ErrorKind::Overloaded,
                 "connection queue full; retry later",
             ));
-            let _ = writeln!(stream, "{}", proto::encode_response(&resp));
+            let _ = write_line(&mut stream, &resp);
             return;
         }
         q.push_back(stream);
@@ -255,10 +268,9 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                 ErrorKind::BadRequest,
                 format!("request line exceeds {MAX_REQUEST_BYTES} bytes; closing connection"),
             ));
-            // One write, so the whole line leaves before the close
-            // (which resets a connection with unread input).
-            let reply = format!("{}\n", proto::encode_response(&resp));
-            let _ = writer.write_all(reply.as_bytes());
+            // The whole line leaves before the close (which resets a
+            // connection with unread input).
+            let _ = write_line(&mut writer, &resp);
             return;
         }
         if n == 0 {
@@ -280,7 +292,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             Ok(env) => shared.service.handle(&env),
             Err(msg) => Response::Error(ServeError::new(ErrorKind::BadRequest, msg)),
         };
-        if writeln!(writer, "{}", proto::encode_response(&resp)).is_err() {
+        if write_line(&mut writer, &resp).is_err() {
             return;
         }
         if is_shutdown {
@@ -293,4 +305,12 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             return;
         }
     }
+}
+
+/// Sends `resp` as one NDJSON line in a single `write_all` (see
+/// "Framing" in the module doc).
+fn write_line(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
+    let mut line = proto::encode_response(resp);
+    line.push('\n');
+    stream.write_all(line.as_bytes())
 }

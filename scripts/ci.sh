@@ -83,6 +83,20 @@ expect() { # expect <needle> — send stdin line, read one response, grep it
 }
 send() { echo "   -> $1"; printf '%s\n' "$1" >&3; }
 send '{"op":"ping"}';                                    expect '"ok":"pong"'
+# Latency gate: 50 ping round trips against the real binary. A response
+# that stalls on Nagle + delayed ACK costs ~44 ms (~2.2 s for all 50);
+# one write per line with TCP_NODELAY costs well under 1 ms.
+pings_start="$EPOCHREALTIME"
+for _ in $(seq 1 50); do
+    printf '%s\n' '{"op":"ping"}' >&3; expect '"ok":"pong"' >/dev/null
+done
+pings_ms=$(( (${EPOCHREALTIME//[.,]/} - ${pings_start//[.,]/}) / 1000 ))
+echo "   50 ping round trips: ${pings_ms} ms"
+(( pings_ms < 1000 )) || {
+    echo "serve smoke: 50 ping round trips took ${pings_ms} ms (gate: < 1000 ms)" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+}
 send '{"op":"open","clip_id":1,"query":"accident","learner":"ocsvm"}'
                                                          expect '"ok":"opened"'
 send '{"op":"page","session_id":1,"n":5}';               expect '"ok":"page"'
