@@ -27,14 +27,14 @@
 use std::time::Instant;
 use tsvr_bench::harness::{fast_mode, Bencher, Report};
 use tsvr_core::{
-    bags_from_bundle, build_index, bundle_from_clip, dataset_from_bundle, parse_query,
+    bags_from_dataset, build_index, bundle_from_clip, dataset_from_bundle, parse_query,
     prepare_clip, rank_topk, ClipWindows, PipelineOptions, Planner, Query, RankedWindow, Scorer,
     ShardWindows, NOMINAL_FPS,
 };
 use tsvr_obs::json::Json;
 use tsvr_sim::Scenario;
 use tsvr_trajectory::WindowConfig;
-use tsvr_viddb::{ClipMeta, ShardedDb};
+use tsvr_viddb::{ClipBundle, ClipMeta, ShardedDb};
 
 const BUCKET_SECS: u64 = 3600;
 
@@ -87,7 +87,7 @@ struct RefFilter {
 }
 
 impl RefFilter {
-    fn admits(&self, meta: &ClipMeta, bundle: &tsvr_viddb::ClipBundle, window_index: u64) -> bool {
+    fn admits(&self, meta: &ClipMeta, bundle: &ClipBundle, window_index: u64) -> bool {
         if let Some(cam) = &self.camera {
             if meta.camera != *cam {
                 return false;
@@ -123,23 +123,25 @@ impl RefFilter {
 /// the same canonical bag construction and heuristic scorer, then drop
 /// windows the reference filter rejects and take the top k.
 fn post_filtered_full_scan(db: &mut ShardedDb, filter: &RefFilter, k: usize) -> Vec<RankedWindow> {
-    let metas: Vec<ClipMeta> = db.list_clips().into_iter().cloned().collect();
-    let mut flat = Vec::new();
-    for meta in &metas {
-        let bundle = db.load_clip(meta.clip_id).expect("load_clip");
-        flat.push(ClipWindows {
-            clip_id: meta.clip_id,
-            bags: bags_from_bundle(&bundle, &WindowConfig::default().features),
-        });
-    }
+    let ids: Vec<u64> = db.list_clips().iter().map(|m| m.clip_id).collect();
+    let bundles: Vec<ClipBundle> = ids
+        .iter()
+        .map(|&id| db.load_clip(id).expect("load_clip"))
+        .collect();
+    let flat: Vec<ClipWindows> = bundles
+        .iter()
+        .map(|bundle| ClipWindows {
+            clip_id: bundle.meta.clip_id,
+            bags: bags_from_dataset(&dataset_from_bundle(bundle, WindowConfig::default())),
+        })
+        .collect();
     let total: usize = flat.iter().map(|c| c.bags.len()).sum();
     let everything =
         rank_topk(&[ShardWindows { shard: "all".into(), clips: flat }], Scorer::Heuristic, total);
     let mut kept = Vec::new();
     for r in everything {
-        let meta = metas.iter().find(|m| m.clip_id == r.clip_id).unwrap();
-        let bundle = db.load_clip(r.clip_id).expect("load_clip");
-        if filter.admits(meta, &bundle, r.window_index) {
+        let bundle = bundles.iter().find(|b| b.meta.clip_id == r.clip_id).unwrap();
+        if filter.admits(&bundle.meta, bundle, r.window_index) {
             kept.push(r);
             if kept.len() == k {
                 break;

@@ -4,14 +4,14 @@ use crate::args::{ArgError, Args};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tsvr_core::{
-    archive_clip_video, bags_from_bundle, bags_from_dataset, bundle_from_clip, labels_from_bundle,
-    latest_checkpoints, prepare_clip, EventQuery, LearnerKind, PipelineOptions, Session,
+    archive_clip_video, bags_from_dataset, bundle_from_clip, dataset_from_bundle,
+    labels_from_bundle, latest_checkpoints, prepare_clip, EventQuery, LearnerKind,
+    PipelineOptions, Session,
 };
 use tsvr_mil::{Bag, GroundTruthOracle, RetrievalSession, SessionConfig};
 use tsvr_sim::Scenario;
-use tsvr_trajectory::checkpoint::FeatureConfig;
 use tsvr_trajectory::{Dataset, WindowConfig};
-use tsvr_viddb::{ClipMeta, FrameCodec, SessionRow, ShardedDb, VideoDb};
+use tsvr_viddb::{ClipBundle, ClipMeta, DbError, FrameCodec, SessionRow, ShardedDb, VideoDb};
 
 const USAGE: &str = "usage: tsvr <command> [--flag value ...]
 
@@ -173,7 +173,7 @@ fn demo(args: &Args) -> Result<(), String> {
     db.put_clip(&bundle_from_clip(&clip, meta))
         .map_err(|e| e.to_string())?;
     let bundle = db.load_clip(1).map_err(|e| e.to_string())?;
-    let bags = bags_from_bundle(&bundle, &FeatureConfig::default());
+    let bags = bags_from_dataset(&dataset_from_bundle(&bundle, WindowConfig::default()));
     let event = EventQuery::accidents();
     let oracle = GroundTruthOracle::new(labels_from_bundle(&bundle, &event));
     let cfg = SessionConfig {
@@ -501,37 +501,39 @@ fn clip_ids_from(args: &Args, db: &ShardedDb) -> Result<Vec<u64>, String> {
     }
 }
 
-/// A clip's bags. `use_index` serves them from the clip's fresh
-/// feature index, storing one first when none is fresh; `rebuild`
-/// re-extracts and re-stores it unconditionally, so the next query is
-/// a hit. Otherwise [`tsvr_core::clip_bags`] reads a fresh index, else
-/// the archived bundle. No path runs vision.
+/// The bags of the clip whose `bundle` the caller has decoded, so no
+/// path decodes it twice. `rebuild` re-stores the clip's feature index
+/// unconditionally. Otherwise [`tsvr_core::clip_bags`] serves a fresh
+/// index, else the bundle; `use_index` first stores that as the clip's
+/// index, so the next query is a hit. No path runs vision.
 fn indexed_bags(
     db: &mut ShardedDb,
-    clip_id: u64,
+    bundle: &ClipBundle,
     use_index: bool,
     rebuild: bool,
 ) -> Result<Vec<Bag>, String> {
-    if use_index && !rebuild {
-        let shard = db.routed_shard(clip_id).map_err(|e| e.to_string())?;
-        let wcfg = WindowConfig::default();
-        if let Some(ds) = tsvr_core::load_index(shard, clip_id, &wcfg).map_err(|e| e.to_string())? {
-            return Ok(bags_from_dataset(&ds));
-        }
-    }
-    if use_index || rebuild {
-        return Ok(bags_from_dataset(&store_index(db, clip_id)?));
-    }
-    tsvr_core::clip_bags(db, clip_id).map_err(|e| e.to_string())
+    let clip_id = bundle.meta.clip_id;
+    let bags = if rebuild {
+        db.routed_shard(clip_id)
+            .and_then(|shard| store_index(shard, bundle))
+            .map(|ds| bags_from_dataset(&ds))
+    } else {
+        tsvr_core::clip_bags(db, clip_id, |shard, cfg| {
+            if use_index {
+                store_index(shard, bundle)
+            } else {
+                Ok(dataset_from_bundle(bundle, cfg))
+            }
+        })
+    };
+    bags.map_err(|e| e.to_string())
 }
 
-/// Rebuilds a clip's dataset from its archived bundle (pure data
-/// reshaping) and stores it as the clip's feature index.
-fn store_index(db: &mut ShardedDb, clip_id: u64) -> Result<Dataset, String> {
-    let shard = db.routed_shard(clip_id).map_err(|e| e.to_string())?;
-    let bundle = shard.load_clip(clip_id).map_err(|e| e.to_string())?;
-    let ds = tsvr_core::dataset_from_bundle(&bundle, WindowConfig::default());
-    tsvr_core::build_index(shard, clip_id, &ds).map_err(|e| e.to_string())?;
+/// Rebuilds a clip's dataset from its bundle (pure data reshaping) and
+/// stores it as the clip's feature index in its `shard`.
+fn store_index(shard: &mut VideoDb, bundle: &ClipBundle) -> Result<Dataset, DbError> {
+    let ds = dataset_from_bundle(bundle, WindowConfig::default());
+    tsvr_core::build_index(shard, bundle.meta.clip_id, &ds)?;
     Ok(ds)
 }
 
@@ -546,7 +548,11 @@ fn index_cmd(action: &str, args: &Args) -> Result<(), String> {
     match action {
         "build" => {
             for &id in &clip_ids {
-                let ds = store_index(&mut db, id)?;
+                let bundle = db.load_clip(id).map_err(|e| e.to_string())?;
+                let ds = db
+                    .routed_shard(id)
+                    .and_then(|shard| store_index(shard, &bundle))
+                    .map_err(|e| e.to_string())?;
                 println!(
                     "indexed clip {id}: {} windows, {} trajectory sequences",
                     ds.windows.len(),
@@ -693,8 +699,8 @@ fn query(args: &Args) -> Result<(), String> {
     let mut db = open_db(args)?;
     let clip_id = args.num::<u64>("clip-id", 1)?;
     let (use_index, rebuild) = (args.switch("use-index"), args.switch("rebuild-index"));
-    let bags = indexed_bags(&mut db, clip_id, use_index, rebuild)?;
     let bundle = db.load_clip(clip_id).map_err(|e| e.to_string())?;
+    let bags = indexed_bags(&mut db, &bundle, use_index, rebuild)?;
     let event = event_from(args)?;
     let labels = labels_from_bundle(&bundle, &event);
     let (top_n, rounds) = (args.num("top", 20)?, args.num("rounds", 4)?);
@@ -750,8 +756,14 @@ fn store_session(db: &mut ShardedDb, row: SessionRow) -> Result<(), String> {
 
 /// Resumes a stored session at its latest checkpoint (`--session 0`,
 /// the default, picks the clip's most recently stored session) through
-/// its own learner, or through `--learner`, which must match it.
-fn resume_stored(db: &mut ShardedDb, args: &Args) -> Result<Session, String> {
+/// its own learner, or through `--learner`, which must match it. A
+/// caller holding the clip's decoded `bundle` passes it, so a clip
+/// without a fresh index is not decoded twice.
+fn resume_stored(
+    db: &mut ShardedDb,
+    args: &Args,
+    bundle: Option<&ClipBundle>,
+) -> Result<Session, String> {
     let clip_id = args.num::<u64>("clip-id", 1)?;
     let session_id = args.num::<u64>("session", 0)?;
     let rows = db.sessions_for_clip(clip_id).map_err(|e| e.to_string())?;
@@ -763,7 +775,11 @@ fn resume_stored(db: &mut ShardedDb, args: &Args) -> Result<Session, String> {
         .and_then(|id| latest_checkpoints(rows).remove(&id))
         .ok_or_else(|| format!("no stored session {session_id} for clip {clip_id}"))?;
     let kind = learner_arg(args)?;
-    let bags = tsvr_core::clip_bags(db, clip_id).map_err(|e| e.to_string())?;
+    let bags = tsvr_core::clip_bags(db, clip_id, |shard, cfg| match bundle {
+        Some(bundle) => Ok(dataset_from_bundle(bundle, cfg)),
+        None => Ok(dataset_from_bundle(&shard.load_clip(clip_id)?, cfg)),
+    })
+    .map_err(|e| e.to_string())?;
     Session::resume(&row, kind, Arc::new(bags)).map_err(|e| e.to_string())
 }
 
@@ -771,8 +787,9 @@ fn resume_stored(db: &mut ShardedDb, args: &Args) -> Result<Session, String> {
 /// runs more oracle-labelled rounds on it.
 fn resume(args: &Args) -> Result<(), String> {
     let mut db = open_db(args)?;
-    let mut session = resume_stored(&mut db, args)?;
-    let bundle = db.load_clip(session.clip_id()).map_err(|e| e.to_string())?;
+    let clip_id = args.num::<u64>("clip-id", 1)?;
+    let bundle = db.load_clip(clip_id).map_err(|e| e.to_string())?;
+    let mut session = resume_stored(&mut db, args, Some(&bundle))?;
     let event = EventQuery::from_name(session.query()).unwrap_or_else(|_| EventQuery::accidents());
     let oracle = GroundTruthOracle::new(labels_from_bundle(&bundle, &event));
     let top_n = args.num("top", 20)?;
@@ -916,7 +933,7 @@ fn session_list(args: &Args) -> Result<(), String> {
 /// `--learner` must match the stored kind; the typed mismatch error
 /// surfaces here.
 fn session_replay(args: &Args) -> Result<(), String> {
-    let session = resume_stored(&mut open_db(args)?, args)?;
+    let session = resume_stored(&mut open_db(args)?, args, None)?;
     let page = session.page(args.num("top", 20)?);
     println!(
         "session {} (clip {}, query {:?}, learner {}, {} rounds replayed):",
@@ -979,16 +996,15 @@ fn search(args: &Args) -> Result<(), String> {
     let event = event_from(args)?;
     let use_index = args.switch("use-index");
     let rebuild_index = args.switch("rebuild-index");
-    let index = if use_index || rebuild_index {
-        // Index-served path: bags come from stored feature segments;
-        // only the labels (incident annotations) are read from bundles.
-        let mut parts = Vec::with_capacity(clip_ids.len());
-        for &id in &clip_ids {
-            let bags = indexed_bags(&mut db, id, use_index, rebuild_index)?;
-            let bundle = db.load_clip(id).map_err(|e| e.to_string())?;
-            let labels = labels_from_bundle(&bundle, &event);
-            parts.push((id, bags, labels));
-        }
+    // Every clip's bags come through `indexed_bags` in both modes; the
+    // labels (incident annotations) come from the same decoded bundle.
+    let mut parts = Vec::with_capacity(clip_ids.len());
+    for &id in &clip_ids {
+        let bundle = db.load_clip(id).map_err(|e| e.to_string())?;
+        let bags = indexed_bags(&mut db, &bundle, use_index, rebuild_index)?;
+        parts.push((id, bags, labels_from_bundle(&bundle, &event)));
+    }
+    if use_index || rebuild_index {
         // Deterministic cross-clip preview straight off the index,
         // scattered one task per shard (byte-identical to the
         // single-shard path at any thread count).
@@ -1005,15 +1021,8 @@ fn search(args: &Args) -> Result<(), String> {
                 r.clip_id, r.window_index, r.score
             );
         }
-        tsvr_core::MultiClipIndex::from_parts(parts)
-    } else {
-        let bundles: Vec<std::sync::Arc<tsvr_viddb::ClipBundle>> = clip_ids
-            .iter()
-            .map(|&id| db.load_clip(id).map_err(|e| e.to_string()))
-            .collect::<Result<_, _>>()?;
-        let refs: Vec<&tsvr_viddb::ClipBundle> = bundles.iter().map(|b| b.as_ref()).collect();
-        tsvr_core::MultiClipIndex::build(&refs, &event, &FeatureConfig::default())
-    };
+    }
+    let index = tsvr_core::MultiClipIndex::from_parts(parts);
     println!(
         "cross-camera index: {} windows from {} clips",
         index.len(),
@@ -1421,7 +1430,7 @@ mod tests {
         // Drive the interactive session with canned answers.
         let mut dbh = ShardedDb::open(Path::new(&db)).unwrap();
         let bundle = dbh.load_clip(1).unwrap();
-        let bags = Arc::new(bags_from_bundle(&bundle, &FeatureConfig::default()));
+        let bags = Arc::new(bags_from_dataset(&dataset_from_bundle(&bundle, WindowConfig::default())));
         let event = EventQuery::accidents();
         let labels = labels_from_bundle(&bundle, &event);
         let open = |id| Session::open(id, 1, event.name, LearnerKind::paper_ocsvm(), Arc::clone(&bags));
@@ -1558,7 +1567,7 @@ mod tests {
             &["--clip-id", "1", "--session", "3"].map(String::from),
         )
         .unwrap();
-        let replayed = resume_stored(&mut dbh, &args).unwrap();
+        let replayed = resume_stored(&mut dbh, &args, None).unwrap();
         assert_eq!(replayed.row().feedback, vec![served]);
         assert_eq!(replayed.row(), &latest[&3]);
         let _ = std::fs::remove_dir_all(&db);

@@ -2,13 +2,13 @@
 //!
 //! Ingestion stores *raw* (unnormalized) feature rows; normalization is
 //! a per-clip query-time concern, so re-deriving bags from a stored
-//! bundle reproduces exactly what [`crate::prepare_clip`] built.
+//! bundle ([`crate::bags_from_dataset`] over
+//! [`crate::dataset_from_bundle`]) reproduces exactly what
+//! [`crate::prepare_clip`] built.
 
 use crate::pipeline::ClipArtifacts;
 use crate::query::EventQuery;
-use tsvr_mil::{Bag, Instance};
 use tsvr_sim::IncidentKind;
-use tsvr_trajectory::checkpoint::{Alpha, FeatureConfig};
 use tsvr_viddb::{
     ClipBundle, ClipMeta, FrameCodec, IncidentRow, SequenceRow, StoredFrame, TrackRow, VideoDb,
     WindowRow,
@@ -81,39 +81,6 @@ pub fn bundle_from_clip(clip: &ClipArtifacts, meta: ClipMeta) -> ClipBundle {
     }
 }
 
-/// Reconstructs normalized MIL bags from a stored bundle, exactly as
-/// query-time preparation would (records hold *raw* α rows; the fixed
-/// ranges in `cfg` are applied here).
-pub fn bags_from_bundle(bundle: &ClipBundle, cfg: &FeatureConfig) -> Vec<Bag> {
-    bundle
-        .windows
-        .iter()
-        .map(|w| {
-            let instances = w
-                .sequences
-                .iter()
-                .map(|ts| {
-                    let rows: Vec<Vec<f64>> = ts
-                        .alphas
-                        .iter()
-                        .map(|a| {
-                            Alpha {
-                                inv_mdist: a[0],
-                                vdiff: a[1],
-                                theta: a[2],
-                            }
-                            .normalized(cfg)
-                            .to_vec()
-                        })
-                        .collect();
-                    Instance::new(ts.track_id, rows)
-                })
-                .collect();
-            Bag::new(w.window_index as usize, instances)
-        })
-        .collect()
-}
-
 /// Archives a clip's pixel stream into the database: frames are
 /// re-rendered deterministically from the simulation observations (the
 /// pipeline does not keep them in memory) and stored as compressed
@@ -179,8 +146,10 @@ pub fn labels_from_bundle(bundle: &ClipBundle, query: &EventQuery) -> Vec<bool> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{prepare_clip, PipelineOptions};
+    use crate::index::dataset_from_bundle;
+    use crate::pipeline::{bags_from_dataset, prepare_clip, PipelineOptions};
     use tsvr_sim::Scenario;
+    use tsvr_trajectory::WindowConfig;
     use tsvr_viddb::VideoDb;
 
     fn meta(clip_id: u64) -> ClipMeta {
@@ -206,7 +175,7 @@ mod tests {
         db.put_clip(&bundle).unwrap();
         let loaded = db.load_clip(1).unwrap();
 
-        let bags = bags_from_bundle(&loaded, &FeatureConfig::default());
+        let bags = bags_from_dataset(&dataset_from_bundle(&loaded, WindowConfig::default()));
         assert_eq!(bags, clip.bags, "bags diverge after db round trip");
 
         let q = EventQuery::accidents();

@@ -42,7 +42,7 @@ pub use index::{
     build_index, config_hash, dataset_from_bundle, dataset_from_segment, fresh_segment, load_index,
     segment_from_dataset, PIPELINE_VERSION,
 };
-pub use ingest::{archive_clip_video, bags_from_bundle, bundle_from_clip, labels_from_bundle};
+pub use ingest::{archive_clip_video, bundle_from_clip, labels_from_bundle};
 pub use labels::label_windows;
 pub use multiclip::{rank_topk, ClipWindows, MultiClipIndex, Scorer, ShardWindows};
 pub use pipeline::{

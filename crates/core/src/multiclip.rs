@@ -11,11 +11,10 @@
 //! different clips live in the same feature space and one retrieval
 //! session can rank the entire database.
 
-use crate::query::{EventQuery, RankedWindow, TopK};
+use crate::query::{RankedWindow, TopK};
 use std::collections::BTreeMap;
 use tsvr_mil::{Bag, Learner};
-use tsvr_trajectory::checkpoint::FeatureConfig;
-use tsvr_viddb::{ClipBundle, DbError, ShardedDb};
+use tsvr_viddb::{DbError, ShardedDb};
 
 /// A unified, cross-clip bag database.
 #[derive(Debug, Clone)]
@@ -31,26 +30,6 @@ pub struct MultiClipIndex {
 }
 
 impl MultiClipIndex {
-    /// Builds a unified index over several stored clips.
-    pub fn build(
-        bundles: &[&ClipBundle],
-        query: &EventQuery,
-        cfg: &FeatureConfig,
-    ) -> MultiClipIndex {
-        MultiClipIndex::from_parts(
-            bundles
-                .iter()
-                .map(|b| {
-                    (
-                        b.meta.clip_id,
-                        crate::ingest::bags_from_bundle(b, cfg),
-                        crate::ingest::labels_from_bundle(b, query),
-                    )
-                })
-                .collect(),
-        )
-    }
-
     /// Number of unified windows.
     pub fn len(&self) -> usize {
         self.bags.len()
@@ -66,11 +45,11 @@ impl MultiClipIndex {
         self.origin.get(bag_id).copied()
     }
 
-    /// Builds a unified index from already-converted per-clip parts —
-    /// the index-served path, where bags come from stored feature
-    /// segments instead of a fresh extraction. Each part is
-    /// `(clip_id, bags, labels)` with `bags[i]` being window `i` of
-    /// that clip; bag ids are re-densified across clips.
+    /// Builds a unified index from per-clip parts, however each clip's
+    /// bags were read (fresh index or archived bundle, see
+    /// [`crate::clip_bags`]). Each part is `(clip_id, bags, labels)`
+    /// with `bags[i]` being window `i` of that clip; bag ids are
+    /// re-densified across clips.
     pub fn from_parts(parts: Vec<(u64, Vec<Bag>, Vec<bool>)>) -> MultiClipIndex {
         let mut bags = Vec::new();
         let mut labels = Vec::new();
@@ -217,11 +196,14 @@ fn shard_cost_hint_ns(shards: &[ShardWindows]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::bundle_from_clip;
-    use crate::pipeline::{prepare_clip, LearnerKind, PipelineOptions};
+    use crate::index::dataset_from_bundle;
+    use crate::ingest::{bundle_from_clip, labels_from_bundle};
+    use crate::pipeline::{bags_from_dataset, prepare_clip, LearnerKind, PipelineOptions};
+    use crate::query::EventQuery;
     use tsvr_mil::{GroundTruthOracle, RetrievalSession, SessionConfig};
     use tsvr_sim::Scenario;
-    use tsvr_viddb::ClipMeta;
+    use tsvr_trajectory::WindowConfig;
+    use tsvr_viddb::{ClipBundle, ClipMeta};
 
     fn meta(clip_id: u64, location: &str) -> ClipMeta {
         ClipMeta {
@@ -236,6 +218,20 @@ mod tests {
         }
     }
 
+    /// The cross-clip accident index over stored bundles.
+    fn accident_index(bundles: &[&ClipBundle]) -> MultiClipIndex {
+        let query = EventQuery::accidents();
+        MultiClipIndex::from_parts(
+            bundles
+                .iter()
+                .map(|b| {
+                    let dataset = dataset_from_bundle(b, WindowConfig::default());
+                    (b.meta.clip_id, bags_from_dataset(&dataset), labels_from_bundle(b, &query))
+                })
+                .collect(),
+        )
+    }
+
     fn two_bundles() -> (ClipBundle, ClipBundle) {
         let a = prepare_clip(&Scenario::tunnel_small(11), &PipelineOptions::default());
         let b = prepare_clip(&Scenario::tunnel_small(22), &PipelineOptions::default());
@@ -248,11 +244,7 @@ mod tests {
     #[test]
     fn unified_index_covers_both_clips() {
         let (a, b) = two_bundles();
-        let idx = MultiClipIndex::build(
-            &[&a, &b],
-            &EventQuery::accidents(),
-            &FeatureConfig::default(),
-        );
+        let idx = accident_index(&[&a, &b]);
         assert_eq!(idx.len(), a.windows.len() + b.windows.len());
         assert_eq!(idx.labels.len(), idx.len());
         // Bag ids are dense and origin resolves to both clips.
@@ -268,11 +260,7 @@ mod tests {
     #[test]
     fn relevant_windows_from_both_clips_exist() {
         let (a, b) = two_bundles();
-        let idx = MultiClipIndex::build(
-            &[&a, &b],
-            &EventQuery::accidents(),
-            &FeatureConfig::default(),
-        );
+        let idx = accident_index(&[&a, &b]);
         // Each tunnel_small clip scripts accidents; the unified labels
         // must contain relevant windows attributed to both clips.
         let relevant_clips: std::collections::HashSet<u64> = idx
@@ -288,11 +276,7 @@ mod tests {
     #[test]
     fn one_session_retrieves_across_clips() {
         let (a, b) = two_bundles();
-        let idx = MultiClipIndex::build(
-            &[&a, &b],
-            &EventQuery::accidents(),
-            &FeatureConfig::default(),
-        );
+        let idx = accident_index(&[&a, &b]);
         let oracle = GroundTruthOracle::new(idx.labels.clone());
         let cfg = SessionConfig {
             top_n: 10,
@@ -327,7 +311,7 @@ mod tests {
 
     #[test]
     fn empty_input_gives_empty_index() {
-        let idx = MultiClipIndex::build(&[], &EventQuery::accidents(), &FeatureConfig::default());
+        let idx = accident_index(&[]);
         assert!(idx.is_empty());
     }
 
@@ -468,27 +452,5 @@ mod tests {
             ShardWindows::group(&db, vec![clip(1), clip(5)]),
             Err(DbError::ClipNotFound(5))
         ));
-    }
-
-    #[test]
-    fn from_parts_matches_build() {
-        let (a, b) = two_bundles();
-        let query = EventQuery::accidents();
-        let cfg = FeatureConfig::default();
-        let built = MultiClipIndex::build(&[&a, &b], &query, &cfg);
-        let parts = [&a, &b]
-            .iter()
-            .map(|bundle| {
-                (
-                    bundle.meta.clip_id,
-                    crate::ingest::bags_from_bundle(bundle, &cfg),
-                    crate::ingest::labels_from_bundle(bundle, &query),
-                )
-            })
-            .collect();
-        let assembled = MultiClipIndex::from_parts(parts);
-        assert_eq!(assembled.bags, built.bags);
-        assert_eq!(assembled.labels, built.labels);
-        assert_eq!(assembled.origin, built.origin);
     }
 }

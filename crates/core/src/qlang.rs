@@ -49,8 +49,7 @@
 //! Parsing never panics: every failure is a typed [`QueryError`], and
 //! unknown event/class/clause names carry "did-you-mean" suggestions.
 
-use crate::index::{dataset_from_segment, fresh_segment};
-use crate::ingest::bags_from_bundle;
+use crate::index::{dataset_from_bundle, dataset_from_segment, fresh_segment};
 use crate::multiclip::{rank_topk, ClipWindows, Scorer, ShardWindows};
 use crate::pipeline::bags_from_dataset;
 use crate::query::{EventQuery, RankedWindow, UnknownEventName};
@@ -1047,11 +1046,13 @@ impl<'a> Planner<'a> {
     }
 
     /// Stage 2 for one clip: evaluate predicates on stored rows and
-    /// build bags for the surviving windows only. Bags are built by
-    /// the same canonical conversions as an unplanned scan
-    /// ([`bags_from_dataset`] over a fresh index, [`bags_from_bundle`]
-    /// otherwise), so each surviving window's bag is bit-identical to
-    /// what a full scan would have scored.
+    /// build bags for the surviving windows only. Survivors go through
+    /// the one canonical conversion of an unplanned scan — a
+    /// [`Dataset`](tsvr_trajectory::Dataset) (from the fresh index, else
+    /// the bundle), retained to
+    /// the survivors, then [`bags_from_dataset`] — so each surviving
+    /// window's bag is bit-identical to what a full scan would have
+    /// scored.
     fn filter_clip_windows(
         &self,
         db: &mut ShardedDb,
@@ -1073,7 +1074,9 @@ impl<'a> Planner<'a> {
 
         let mut keep: BTreeSet<u64> = BTreeSet::new();
         let mut scanned_here = 0usize;
-        match &fresh_segment {
+        // Each arm admits windows, then reshapes its rows into the
+        // clip's dataset only when some window survived.
+        let survivors = match &fresh_segment {
             Some(seg) => {
                 scanned_here += seg.windows.len();
                 for row in &seg.windows {
@@ -1092,6 +1095,7 @@ impl<'a> Planner<'a> {
                         keep.insert(u64::from(row.window_index));
                     }
                 }
+                (!keep.is_empty()).then(|| dataset_from_segment(seg, self.config))
             }
             None => {
                 let bundle = bundle.as_ref().expect("bundle loaded when no fresh index");
@@ -1117,28 +1121,15 @@ impl<'a> Planner<'a> {
                         keep.insert(u64::from(row.window_index));
                     }
                 }
+                (!keep.is_empty()).then(|| dataset_from_bundle(bundle, self.config))
             }
-        }
-
-        // Build survivor bags through the canonical conversion paths.
-        let bags = if keep.is_empty() {
-            Vec::new()
-        } else {
-            match fresh_segment {
-                Some(seg) => {
-                    let mut dataset = dataset_from_segment(&seg, self.config);
-                    dataset
-                        .windows
-                        .retain(|w| keep.contains(&(w.index as u64)));
-                    bags_from_dataset(&dataset)
-                }
-                None => {
-                    let bundle = bundle.as_ref().expect("bundle loaded when no fresh index");
-                    let mut bags = bags_from_bundle(bundle, &self.config.features);
-                    bags.retain(|b| keep.contains(&(b.id as u64)));
-                    bags
-                }
+        };
+        let bags = match survivors {
+            Some(mut dataset) => {
+                dataset.windows.retain(|w| keep.contains(&(w.index as u64)));
+                bags_from_dataset(&dataset)
             }
+            None => Vec::new(),
         };
         let kept = bags.len();
         stats.windows_scanned += scanned_here;

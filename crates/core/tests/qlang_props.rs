@@ -15,7 +15,7 @@
 
 use std::path::PathBuf;
 use tsvr_core::{
-    bags_from_bundle, build_index, bundle_from_clip, dataset_from_bundle, parse_query,
+    bags_from_dataset, build_index, bundle_from_clip, dataset_from_bundle, parse_query,
     prepare_clip, rank_topk, segment_from_dataset, Clause, ClipWindows, Cmp, EventQuery, FeatureField,
     PipelineOptions, Planner, Query, RankedWindow, Scorer, ShardWindows, NOMINAL_FPS,
 };
@@ -89,7 +89,7 @@ fn build_archive(tag: &str) -> Archive {
         .iter()
         .map(|b| ClipWindows {
             clip_id: b.meta.clip_id,
-            bags: bags_from_bundle(b, &WindowConfig::default().features),
+            bags: bags_from_dataset(&dataset_from_bundle(b, WindowConfig::default())),
         })
         .collect();
     let total: usize = flat.iter().map(|c| c.bags.len()).sum();
@@ -297,6 +297,38 @@ fn planner_equals_post_filtered_full_scan() {
         }
     });
     tsvr_par::set_threads(saved);
+}
+
+#[test]
+fn index_path_and_bundle_path_plan_identically() {
+    // The same bundles twice: every clip indexed, then none, so stage 2
+    // reads every window through its segment in one archive and through
+    // its bundle in the other.
+    let archive = build_archive("paths");
+    let mut indexed = ShardedDb::from(VideoDb::in_memory());
+    let mut bundled = ShardedDb::from(VideoDb::in_memory());
+    for bundle in &archive.bundles {
+        let clip_id = bundle.meta.clip_id;
+        for db in [&mut indexed, &mut bundled] {
+            db.put_clip(bundle).expect("put_clip");
+        }
+        let dataset = dataset_from_bundle(bundle, WindowConfig::default());
+        build_index(indexed.shard_for_clip_mut(clip_id).expect("shard"), clip_id, &dataset)
+            .expect("build_index");
+    }
+    check::cases(48, |case, rng| {
+        let query = random_query(rng);
+        let planner = Planner::new(1 + rng.uniform_usize(12));
+        let ctx = format!("case {case}: {query}");
+        let from_index = planner
+            .run(&mut indexed, &query, Scorer::Heuristic)
+            .expect("plan indexed");
+        let from_bundle = planner
+            .run(&mut bundled, &query, Scorer::Heuristic)
+            .expect("plan bundled");
+        assert_same_ranking(&from_index.ranking, &from_bundle.ranking, &ctx);
+        assert_eq!(from_index.stats, from_bundle.stats, "{ctx}: plan stats differ");
+    });
 }
 
 #[test]

@@ -64,7 +64,9 @@ impl Default for ServiceConfig {
 pub struct Service {
     db: Mutex<ShardedDb>,
     /// Per-clip bag cache: loaded once (index-served when fresh),
-    /// shared read-only by every session on the clip.
+    /// shared read-only by every session on the clip. This is the
+    /// service's only clip cache; viddb stores and does not cache, so
+    /// a clip missing here is read from disk.
     clips: Mutex<HashMap<u64, Arc<Vec<Bag>>>>,
     sessions: Mutex<HashMap<u64, Arc<Mutex<Session>>>>,
     next_id: AtomicU64,
@@ -278,16 +280,19 @@ impl Service {
     }
 
     /// The clip's bag database: cached, else loaded by
-    /// [`tsvr_core::clip_bags`] (fresh index, else the archived bundle;
-    /// bit-identical either way, and neither re-runs vision work).
+    /// [`tsvr_core::clip_bags`] (fresh index, else the archived bundle
+    /// decoded here; bit-identical either way, and neither re-runs
+    /// vision work).
     fn clip_bags(&self, clip_id: u64) -> Result<Arc<Vec<Bag>>, Response> {
         if let Some(bags) = self.clips.lock().unwrap().get(&clip_id) {
             return Ok(Arc::clone(bags));
         }
         // Load outside the cache lock; a racing load computes the same
         // value, and the first insert wins.
-        let bags = tsvr_core::clip_bags(&mut self.db.lock().unwrap(), clip_id)
-            .map_err(|e| db_err(&e))?;
+        let bags = tsvr_core::clip_bags(&mut self.db.lock().unwrap(), clip_id, |shard, cfg| {
+            Ok(tsvr_core::dataset_from_bundle(&shard.load_clip(clip_id)?, cfg))
+        })
+        .map_err(|e| db_err(&e))?;
         let bags = Arc::new(bags);
         Ok(Arc::clone(
             self.clips

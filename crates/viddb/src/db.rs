@@ -1,6 +1,5 @@
-//! The video database: log + catalog + buffer cache + metadata queries.
+//! The video database: log + catalog + metadata queries.
 
-use crate::cache::{CacheStats, LruCache};
 use crate::codec::{Reader, Writer};
 use crate::error::{DbError, Result};
 use crate::frames::{FrameCodec, StoredFrame};
@@ -12,7 +11,6 @@ use crate::record::{
 use crate::storage::Storage;
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Record type tags in the log.
 const TAG_CLIP: u8 = 1;
@@ -25,9 +23,6 @@ const TAG_INDEX: u8 = 5;
 /// written before compression existed still decode byte-for-byte
 /// through the old path.
 const TAG_INDEX_C: u8 = 6;
-
-/// Default number of decoded clip bundles kept in the buffer cache.
-pub const DEFAULT_CACHE_CAPACITY: usize = 8;
 
 /// One quarantined clip: its stored record failed integrity checks at
 /// query time, so the database serves every *other* clip and reports
@@ -100,7 +95,7 @@ impl FaultReport {
 ///
 /// Clips are stored as single checksummed log records; the catalog
 /// (clip metadata and record offsets) is rebuilt by scanning the log on
-/// open, and full bundles are decoded on demand through an LRU cache.
+/// open, and full bundles are decoded (and CRC-checked) on every load.
 pub struct VideoDb {
     log: Log,
     /// clip_id -> (metadata, log offset of the bundle record).
@@ -111,7 +106,6 @@ pub struct VideoDb {
     video_segments: Vec<(u64, u32, u32, u64)>,
     /// Feature indexes: clip_id -> log offset (later records win).
     indexes: BTreeMap<u64, u64>,
-    cache: LruCache<u64, ClipBundle>,
     /// Clips whose stored record failed integrity checks at query time.
     quarantined: BTreeMap<u64, QuarantineEntry>,
 }
@@ -167,7 +161,6 @@ impl VideoDb {
             sessions: Vec::new(),
             video_segments: Vec::new(),
             indexes: BTreeMap::new(),
-            cache: LruCache::new(DEFAULT_CACHE_CAPACITY),
             quarantined: BTreeMap::new(),
         };
         db.rebuild_catalog()?;
@@ -301,38 +294,34 @@ impl VideoDb {
         })
     }
 
-    /// Loads a full clip bundle (through the buffer cache).
+    /// Loads and decodes a full clip bundle. Every call reads the
+    /// record from the log and checks its CRC, so damage written after
+    /// an earlier load is caught, never served stale.
     ///
     /// If the stored record turns out to be corrupt, the clip is
     /// quarantined — removed from the catalog and reported via
     /// [`VideoDb::quarantined`] — and [`DbError::ClipQuarantined`] is
     /// returned. Every other clip stays retrievable.
-    pub fn load_clip(&mut self, clip_id: u64) -> Result<Arc<ClipBundle>> {
+    pub fn load_clip(&mut self, clip_id: u64) -> Result<ClipBundle> {
         if self.quarantined.contains_key(&clip_id) {
             return Err(DbError::ClipQuarantined(clip_id));
-        }
-        if let Some(b) = self.cache.get(&clip_id) {
-            return Ok(b);
         }
         let _span = tsvr_obs::span!("viddb.load_clip");
         let &(_, offset) = self
             .catalog
             .get(&clip_id)
             .ok_or(DbError::ClipNotFound(clip_id))?;
-        let bundle = match self
+        match self
             .log
             .read(offset)
             .and_then(|payload| Self::decode_bundle(&payload))
         {
-            Ok(b) => Arc::new(b),
             Err(e) if e.is_corruption() => {
                 self.quarantine_clip(clip_id, offset, &e);
-                return Err(DbError::ClipQuarantined(clip_id));
+                Err(DbError::ClipQuarantined(clip_id))
             }
-            Err(e) => return Err(e),
-        };
-        self.cache.put(clip_id, Arc::clone(&bundle));
-        Ok(bundle)
+            decoded => decoded,
+        }
     }
 
     /// Moves a clip with a corrupt stored record out of the catalog and
@@ -347,7 +336,6 @@ impl VideoDb {
             &format!("clip {clip_id} at offset {offset}: {cause}"),
         );
         self.catalog.remove(&clip_id);
-        self.cache.invalidate(&clip_id);
         self.quarantined.insert(
             clip_id,
             QuarantineEntry {
@@ -437,7 +425,6 @@ impl VideoDb {
         self.catalog.remove(&clip_id);
         self.quarantined.remove(&clip_id);
         self.indexes.remove(&clip_id);
-        self.cache.invalidate(&clip_id);
         Ok(())
     }
 
@@ -718,7 +705,6 @@ impl VideoDb {
         self.sessions.clear();
         self.video_segments.clear();
         self.indexes.clear();
-        self.cache.clear();
         for payload in live {
             self.log.append(&payload)?;
         }
@@ -844,11 +830,6 @@ impl VideoDb {
             recovered_header: recovery.recovered_header,
         }
     }
-
-    /// Hit/miss/occupancy statistics of the buffer cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
 }
 
 #[cfg(test)]
@@ -869,7 +850,7 @@ mod tests {
         let b = sample_bundle(1);
         db.put_clip(&b).unwrap();
         let loaded = db.load_clip(1).unwrap();
-        assert_eq!(*loaded, b);
+        assert_eq!(loaded, b);
         assert_eq!(db.clip_count(), 1);
     }
 
@@ -894,16 +875,37 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_repeat_loads() {
-        let mut db = VideoDb::in_memory();
+    fn on_disk_rot_after_a_first_load_is_quarantined() {
+        use std::io::{Read, Seek, SeekFrom, Write};
+        let path = temp_path("rot-after-load");
+        let mut db = VideoDb::open(&path).unwrap();
         db.put_clip(&sample_bundle(1)).unwrap();
-        let a = db.load_clip(1).unwrap();
-        let b = db.load_clip(1).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second load not served from cache");
-        let stats = db.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(stats.len, 1);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+        db.sync().unwrap();
+        assert_eq!(db.load_clip(1).unwrap(), sample_bundle(1));
+
+        // Flip one byte inside the bundle record's payload (past the
+        // 8-byte length + CRC frame header) behind the open handle.
+        let at = db.catalog[&1].1 + 8 + 4;
+        let mut file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .unwrap();
+        let mut byte = [0u8];
+        file.seek(SeekFrom::Start(at)).unwrap();
+        file.read_exact(&mut byte).unwrap();
+        file.seek(SeekFrom::Start(at)).unwrap();
+        file.write_all(&[byte[0] ^ 0xFF]).unwrap();
+        file.sync_all().unwrap();
+
+        assert!(matches!(
+            db.load_clip(1).unwrap_err(),
+            DbError::ClipQuarantined(1)
+        ));
+        let quarantined: Vec<u64> = db.quarantined().iter().map(|q| q.clip_id).collect();
+        assert_eq!(quarantined, vec![1]);
+        drop(db);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

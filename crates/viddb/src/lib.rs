@@ -21,13 +21,14 @@
 //!   explicit `sync` durability point, over any [`storage`] backend;
 //! * [`frames`] — lossy-quantized, delta-coded, RLE-compressed video
 //!   frame segments, so retrieved Video Sequences can be played back;
-//! * [`cache`] — an LRU buffer cache for decoded clip bundles;
 //! * [`compress`] — XOR-delta + bit-packed compression for the flat
 //!   f64 feature rows of index segments (per-chunk raw fallback, bit-
 //!   exact round trip);
-//! * [`db`] — [`db::VideoDb`]: the log + in-memory catalog + cache, with
+//! * [`db`] — [`db::VideoDb`]: the log + in-memory catalog, with
 //!   metadata queries (by location, camera, time range) and session
-//!   persistence;
+//!   persistence. It stores; it does not cache: every `load_clip`
+//!   decodes and CRC-checks the record, and callers that reuse decoded
+//!   data (serve's per-clip bags) keep it themselves;
 //! * [`shard`] — [`shard::ShardedDb`]: a directory of independently
 //!   compacted per-`(camera, time-bucket)` [`db::VideoDb`] shards
 //!   behind a manifest log, routing writes by shard key and degrading
@@ -37,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod codec;
 pub mod compress;
 pub mod db;
@@ -48,7 +48,6 @@ pub mod record;
 pub mod shard;
 pub mod storage;
 
-pub use cache::CacheStats;
 pub use db::{FaultReport, QuarantineEntry, VerifyReport, VideoDb};
 pub use error::DbError;
 pub use frames::{FrameCodec, StoredFrame};

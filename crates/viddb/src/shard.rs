@@ -50,9 +50,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use crate::cache::CacheStats;
 use crate::codec::{Reader, Writer};
 use crate::db::{FaultReport, VerifyReport, VideoDb};
 use crate::error::{DbError, Result};
@@ -375,7 +373,7 @@ impl ShardedDb {
     }
 
     /// Loads a clip bundle from its shard.
-    pub fn load_clip(&mut self, clip_id: u64) -> Result<Arc<ClipBundle>> {
+    pub fn load_clip(&mut self, clip_id: u64) -> Result<ClipBundle> {
         self.routed_shard(clip_id)?.load_clip(clip_id)
     }
 
@@ -540,18 +538,6 @@ impl ShardedDb {
             agg.corrupt_regions.extend(r.corrupt_regions);
             agg.truncated_tail_bytes += r.truncated_tail_bytes;
             agg.recovered_header |= r.recovered_header;
-        }
-        agg
-    }
-
-    /// Aggregated cache statistics over every healthy shard.
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut agg = CacheStats::default();
-        for shard in self.shards.values() {
-            let s = shard.cache_stats();
-            agg.hits += s.hits;
-            agg.misses += s.misses;
-            agg.len += s.len;
         }
         agg
     }

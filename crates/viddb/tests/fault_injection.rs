@@ -4,7 +4,6 @@
 //! rollback for torn appends, surfaced-but-survivable sync failures,
 //! and quarantine (never wrong data, never a failed open) for bit rot.
 
-use std::sync::Arc;
 use tsvr_viddb::log::MAX_IO_RETRIES;
 use tsvr_viddb::record::{ClipBundle, ClipMeta, TrackRow};
 use tsvr_viddb::{DbError, FaultKind, FaultyStorage, MemStorage, VideoDb};
@@ -115,7 +114,7 @@ fn bit_flip_quarantines_only_the_damaged_clip() {
     for b in &originals {
         match db.load_clip(b.meta.clip_id) {
             Ok(got) => {
-                assert_eq!(*got, *b, "served clip differs from what was stored");
+                assert_eq!(got, *b, "served clip differs from what was stored");
                 served += 1;
             }
             Err(DbError::ClipQuarantined(_)) | Err(DbError::ClipNotFound(_)) => {
@@ -213,7 +212,7 @@ fn mid_log_corruption_on_open_preserves_later_records() {
     );
     assert!(db.meta(1).is_none(), "damaged clip must not be indexed");
     let got = db.load_clip(2).unwrap();
-    assert_eq!(*got, bundle(2));
+    assert_eq!(got, bundle(2));
 }
 
 #[test]
@@ -229,7 +228,6 @@ fn crash_image_preserves_synced_clips() {
     let image = handle.crash_image();
     let mut db = VideoDb::with_storage(Box::new(MemStorage::from_bytes(image))).unwrap();
     // The synced clip survives, byte-identical.
-    let got: Arc<ClipBundle> = db.load_clip(1).unwrap();
-    assert_eq!(*got, bundle(1));
+    assert_eq!(db.load_clip(1).unwrap(), bundle(1));
     assert!(db.quarantined().is_empty());
 }

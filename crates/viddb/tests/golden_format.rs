@@ -125,7 +125,7 @@ fn golden_file_opens_as_one_shard_view() {
     assert_eq!(view.list_clips().iter().map(|m| m.clip_id).collect::<Vec<_>>(), ids);
     for id in ids {
         assert_eq!(view.meta(id), direct.meta(id));
-        assert_eq!(*view.load_clip(id).unwrap(), *direct.load_clip(id).unwrap());
+        assert_eq!(view.load_clip(id).unwrap(), direct.load_clip(id).unwrap());
         assert_eq!(view.load_index(id).unwrap(), direct.load_index(id).unwrap());
         assert_eq!(view.sessions_for_clip(id).unwrap(), direct.sessions_for_clip(id).unwrap());
     }
@@ -135,7 +135,7 @@ fn golden_file_opens_as_one_shard_view() {
     assert_eq!(reports[0].1, direct.verify().unwrap());
 
     // New writes land in the same file and survive a reopen.
-    let mut bundle = (*direct.load_clip(7).unwrap()).clone();
+    let mut bundle = direct.load_clip(7).unwrap();
     bundle.meta.clip_id = 8;
     bundle.meta.camera = "cam-5".into();
     let session = SessionRow {
@@ -151,7 +151,7 @@ fn golden_file_opens_as_one_shard_view() {
     view.sync().unwrap();
     drop(view);
     let mut reopened = ShardedDb::open(&path).unwrap();
-    assert_eq!(*reopened.load_clip(8).unwrap(), bundle);
+    assert_eq!(reopened.load_clip(8).unwrap(), bundle);
     assert_eq!(reopened.sessions_for_clip(8).unwrap(), vec![session]);
     assert_eq!(reopened.load_clip(7).unwrap().meta.name, "golden");
     let mut entries: Vec<String> = std::fs::read_dir(&dir)

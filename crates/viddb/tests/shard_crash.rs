@@ -194,7 +194,7 @@ fn crash_at_every_op_leaves_shards_independently_recoverable() {
                 .unwrap_or(true);
             match db.load_clip(*id) {
                 // Whatever still serves must be byte-identical.
-                Ok(got) => assert_eq!(*got, *want, "crash point {k}: clip {id} differs"),
+                Ok(got) => assert_eq!(got, *want, "crash point {k}: clip {id} differs"),
                 // Only records in the torn file may be lost.
                 Err(DbError::ClipNotFound(_)) | Err(DbError::ClipQuarantined(_)) => {
                     assert!(
@@ -235,7 +235,7 @@ fn torn_manifest_tail_never_loses_whole_shards() {
         let got = db.load_clip(*id).unwrap_or_else(|e| {
             panic!("clip {id} lost to a manifest tear that touched no shard: {e}")
         });
-        assert_eq!(*got, *want);
+        assert_eq!(got, *want);
     }
     // Sessions and the index also survived with their shards.
     assert_eq!(db.sessions_for_clip(2).unwrap().len(), 1);

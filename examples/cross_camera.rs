@@ -10,11 +10,12 @@
 //! Run with: `cargo run --release --example cross_camera`
 
 use tsvr::core::{
-    bundle_from_clip, prepare_clip, EventQuery, LearnerKind, MultiClipIndex, PipelineOptions,
+    bags_from_dataset, bundle_from_clip, dataset_from_bundle, labels_from_bundle, prepare_clip,
+    EventQuery, LearnerKind, MultiClipIndex, PipelineOptions,
 };
 use tsvr::mil::{GroundTruthOracle, RetrievalSession, SessionConfig};
 use tsvr::sim::Scenario;
-use tsvr::trajectory::checkpoint::FeatureConfig;
+use tsvr::trajectory::WindowConfig;
 use tsvr::viddb::{ClipMeta, VideoDb};
 
 fn meta(clip_id: u64, location: &str, camera: &str, frames: u32) -> ClipMeta {
@@ -54,7 +55,15 @@ fn main() {
     let b1 = db.load_clip(1).unwrap();
     let b2 = db.load_clip(2).unwrap();
     let query = EventQuery::accidents();
-    let index = MultiClipIndex::build(&[&b1, &b2], &query, &FeatureConfig::default());
+    let index = MultiClipIndex::from_parts(
+        [&b1, &b2]
+            .iter()
+            .map(|b| {
+                let dataset = dataset_from_bundle(b, WindowConfig::default());
+                (b.meta.clip_id, bags_from_dataset(&dataset), labels_from_bundle(b, &query))
+            })
+            .collect(),
+    );
     println!(
         "unified database: {} windows ({} from the tunnel, {} from the intersection)",
         index.len(),

@@ -6,12 +6,12 @@
 //! Run with: `cargo run --release --example database_workflow`
 
 use tsvr::core::{
-    archive_clip_video, bags_from_bundle, bundle_from_clip, labels_from_bundle, prepare_clip,
-    EventQuery, LearnerKind, PipelineOptions,
+    archive_clip_video, bags_from_dataset, bundle_from_clip, dataset_from_bundle,
+    labels_from_bundle, prepare_clip, EventQuery, LearnerKind, PipelineOptions,
 };
 use tsvr::mil::{GroundTruthOracle, RetrievalSession, SessionConfig};
 use tsvr::sim::Scenario;
-use tsvr::trajectory::checkpoint::FeatureConfig;
+use tsvr::trajectory::WindowConfig;
 use tsvr::viddb::FrameCodec;
 use tsvr::viddb::{ClipMeta, SessionRow, VideoDb};
 
@@ -66,7 +66,7 @@ fn main() {
 
     // --- retrieval from stored records -------------------------------------
     let bundle = db.load_clip(1).expect("load clip 1");
-    let bags = bags_from_bundle(&bundle, &FeatureConfig::default());
+    let bags = bags_from_dataset(&dataset_from_bundle(&bundle, WindowConfig::default()));
     let query = EventQuery::accidents();
     let labels = labels_from_bundle(&bundle, &query);
     let oracle = GroundTruthOracle::new(labels);

@@ -145,6 +145,25 @@ replayed_top="$(sed -n 's/.*current top [0-9]*: \[\(.*\)\]/\1/p' "$smoke/replay.
     --db "$smoke/smoke.db" --top 3 | tee "$smoke/query_local.out"
 diff "$smoke/query_remote.out" "$smoke/query_local.out"
 
+# Search identity across processes: `search` reads every clip's bags
+# through one conversion, so from the `cross-camera index` line on the
+# bundle-served run, the --use-index run that stores the indexes and
+# the one that reads them back print the same bytes.
+echo "==> search identity (bundle-served vs --use-index)"
+search="$(mktemp -d)"
+for clip in 1 2; do
+    ./target/release/tsvr simulate --db "$search/search.db" \
+        --scenario tunnel-small --seed "$clip" --clip-id "$clip" >/dev/null
+done
+for run in bundle index-cold index-warm; do
+    flag=(); [[ "$run" == bundle ]] || flag=(--use-index)
+    ./target/release/tsvr search --db "$search/search.db" --top 5 "${flag[@]}" \
+        | sed -n '/^cross-camera index/,$p' >"$search/$run.out"
+done
+grep -q '^cross-camera index' "$search/bundle.out"
+diff "$search/bundle.out" "$search/index-cold.out"
+diff "$search/bundle.out" "$search/index-warm.out"
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

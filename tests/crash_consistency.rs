@@ -150,7 +150,7 @@ fn read_state(db: &mut VideoDb) -> State {
         let bundle = db
             .load_clip(id)
             .unwrap_or_else(|e| panic!("indexed clip {id} failed to load: {e}"));
-        clips.insert(id, (*bundle).clone());
+        clips.insert(id, bundle);
     }
     let mut sessions = Vec::new();
     let clip_ids: Vec<u64> = (1..=40).collect(); // sessions may reference deleted clips
@@ -318,7 +318,7 @@ fn every_stored_byte_flip_degrades_to_quarantine_not_wrong_data() {
                 match db.load_clip(id) {
                     Ok(got) => {
                         assert_eq!(
-                            *got, *original,
+                            got, *original,
                             "seed {seed} flip@{byte}: clip {id} served wrong data"
                         );
                         if model.clips.contains_key(&id) {

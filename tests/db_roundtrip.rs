@@ -2,12 +2,12 @@
 //! behaviour to the in-memory path.
 
 use tsvr::core::{
-    bags_from_bundle, bundle_from_clip, labels_from_bundle, prepare_clip, EventQuery, LearnerKind,
-    PipelineOptions,
+    bags_from_dataset, bundle_from_clip, dataset_from_bundle, labels_from_bundle, prepare_clip,
+    EventQuery, LearnerKind, PipelineOptions,
 };
 use tsvr::mil::{GroundTruthOracle, RetrievalSession, SessionConfig};
 use tsvr::sim::Scenario;
-use tsvr::trajectory::checkpoint::FeatureConfig;
+use tsvr::trajectory::WindowConfig;
 use tsvr::viddb::{ClipMeta, SessionRow, VideoDb};
 
 fn meta(clip_id: u64) -> ClipMeta {
@@ -47,7 +47,7 @@ fn stored_clip_reproduces_session_results() {
     let mut db = VideoDb::in_memory();
     db.put_clip(&bundle_from_clip(&clip, meta(1))).unwrap();
     let bundle = db.load_clip(1).unwrap();
-    let bags = bags_from_bundle(&bundle, &FeatureConfig::default());
+    let bags = bags_from_dataset(&dataset_from_bundle(&bundle, WindowConfig::default()));
     let oracle2 = GroundTruthOracle::new(labels_from_bundle(&bundle, &query));
     let (via_db, _) = RetrievalSession::new(
         &bags,

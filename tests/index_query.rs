@@ -188,7 +188,7 @@ fn crash_while_writing_index_never_damages_the_clip() {
         let reloaded = db
             .load_clip(1)
             .unwrap_or_else(|e| panic!("crash@{crash_at}: clip lost: {e}"));
-        assert_eq!(*reloaded, bundle, "crash@{crash_at}: clip data changed");
+        assert_eq!(reloaded, bundle, "crash@{crash_at}: clip data changed");
 
         // The index is absent or fully valid — never torn garbage —
         // and a rebuild always restores service.

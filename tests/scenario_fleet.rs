@@ -194,7 +194,7 @@ fn fleet_ingest_survives_crash_at_every_op() {
                 .map(|f| f == victim_name)
                 .unwrap_or(true);
             match db.load_clip(*id) {
-                Ok(got) => assert_eq!(*got, *want, "crash point {k}: clip {id} differs"),
+                Ok(got) => assert_eq!(got, *want, "crash point {k}: clip {id} differs"),
                 Err(e) => assert!(
                     in_victim,
                     "crash point {k}: clip {id} lost outside the torn file: {e}"
