@@ -4,14 +4,13 @@ use crate::args::{ArgError, Args};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tsvr_core::{
-    archive_clip_video, bags_from_dataset, bundle_from_clip, dataset_from_bundle,
-    labels_from_bundle, latest_checkpoints, prepare_clip, EventQuery, LearnerKind,
-    PipelineOptions, Session,
+    archive_clip_video, bundle_from_clip, dataset_from_bundle, latest_checkpoints, prepare_clip,
+    ClipView, EventQuery, LearnerKind, PipelineOptions, Session,
 };
-use tsvr_mil::{Bag, GroundTruthOracle, RetrievalSession, SessionConfig};
+use tsvr_mil::{GroundTruthOracle, RetrievalSession, SessionConfig};
 use tsvr_sim::Scenario;
 use tsvr_trajectory::{Dataset, WindowConfig};
-use tsvr_viddb::{ClipBundle, ClipMeta, DbError, FrameCodec, SessionRow, ShardedDb, VideoDb};
+use tsvr_viddb::{ClipMeta, DbError, FrameCodec, SessionRow, ShardedDb, VideoDb};
 
 const USAGE: &str = "usage: tsvr <command> [--flag value ...]
 
@@ -172,17 +171,17 @@ fn demo(args: &Args) -> Result<(), String> {
     };
     db.put_clip(&bundle_from_clip(&clip, meta))
         .map_err(|e| e.to_string())?;
-    let bundle = db.load_clip(1).map_err(|e| e.to_string())?;
-    let bags = bags_from_dataset(&dataset_from_bundle(&bundle, WindowConfig::default()));
+    let view = ClipView::load(&mut db, 1).map_err(|e| e.to_string())?;
+    let bags = view.bags();
     let event = EventQuery::accidents();
-    let oracle = GroundTruthOracle::new(labels_from_bundle(&bundle, &event));
+    let oracle = GroundTruthOracle::new(view.labels(&mut db, &event).map_err(|e| e.to_string())?);
     let cfg = SessionConfig {
         top_n: args.num("top", 10)?,
         feedback_rounds: args.num("rounds", 4)?,
         ..SessionConfig::default()
     };
     let learner = LearnerKind::paper_ocsvm();
-    let (report, _) = RetrievalSession::new(&bags, learner.build_for(&bags), &oracle, cfg).run();
+    let (report, _) = RetrievalSession::new(bags, learner.build_for(bags), &oracle, cfg).run();
     println!(
         "demo: {} tracks, {} windows, {} relevant; accuracies {:?}",
         clip.vision.tracks.len(),
@@ -501,40 +500,33 @@ fn clip_ids_from(args: &Args, db: &ShardedDb) -> Result<Vec<u64>, String> {
     }
 }
 
-/// The bags of the clip whose `bundle` the caller has decoded, so no
-/// path decodes it twice. `rebuild` re-stores the clip's feature index
-/// unconditionally. Otherwise [`tsvr_core::clip_bags`] serves a fresh
-/// index, else the bundle; `use_index` first stores that as the clip's
-/// index, so the next query is a hit. No path runs vision.
-fn indexed_bags(
+/// The clip's view. `rebuild` reads it from the bundle and re-stores
+/// the clip's feature index from that; otherwise [`ClipView::load`]
+/// reads a fresh index, else the bundle, and `use_index` stores a
+/// bundle-served view as the clip's index, so the next query is a hit.
+/// No path runs vision or decodes the bundle twice.
+fn clip_view(
     db: &mut ShardedDb,
-    bundle: &ClipBundle,
+    clip_id: u64,
     use_index: bool,
     rebuild: bool,
-) -> Result<Vec<Bag>, String> {
-    let clip_id = bundle.meta.clip_id;
-    let bags = if rebuild {
-        db.routed_shard(clip_id)
-            .and_then(|shard| store_index(shard, bundle))
-            .map(|ds| bags_from_dataset(&ds))
+) -> Result<ClipView, String> {
+    let view = if rebuild {
+        db.load_clip(clip_id).map(ClipView::from_bundle)
     } else {
-        tsvr_core::clip_bags(db, clip_id, |shard, cfg| {
-            if use_index {
-                store_index(shard, bundle)
-            } else {
-                Ok(dataset_from_bundle(bundle, cfg))
-            }
-        })
-    };
-    bags.map_err(|e| e.to_string())
+        ClipView::load(db, clip_id)
+    }
+    .map_err(|e| e.to_string())?;
+    if (use_index || rebuild) && !view.index_served() {
+        store_index(db, clip_id, view.dataset()).map_err(|e| e.to_string())?;
+    }
+    Ok(view)
 }
 
-/// Rebuilds a clip's dataset from its bundle (pure data reshaping) and
-/// stores it as the clip's feature index in its `shard`.
-fn store_index(shard: &mut VideoDb, bundle: &ClipBundle) -> Result<Dataset, DbError> {
-    let ds = dataset_from_bundle(bundle, WindowConfig::default());
-    tsvr_core::build_index(shard, bundle.meta.clip_id, &ds)?;
-    Ok(ds)
+/// Stores `dataset` as the clip's feature index in its shard.
+fn store_index(db: &mut ShardedDb, clip_id: u64, dataset: &Dataset) -> Result<(), DbError> {
+    db.routed_shard(clip_id)
+        .and_then(|shard| tsvr_core::build_index(shard, clip_id, dataset))
 }
 
 /// `index build` / `index verify`.
@@ -549,10 +541,8 @@ fn index_cmd(action: &str, args: &Args) -> Result<(), String> {
         "build" => {
             for &id in &clip_ids {
                 let bundle = db.load_clip(id).map_err(|e| e.to_string())?;
-                let ds = db
-                    .routed_shard(id)
-                    .and_then(|shard| store_index(shard, &bundle))
-                    .map_err(|e| e.to_string())?;
+                let ds = dataset_from_bundle(&bundle, wcfg);
+                store_index(&mut db, id, &ds).map_err(|e| e.to_string())?;
                 println!(
                     "indexed clip {id}: {} windows, {} trajectory sequences",
                     ds.windows.len(),
@@ -699,19 +689,18 @@ fn query(args: &Args) -> Result<(), String> {
     let mut db = open_db(args)?;
     let clip_id = args.num::<u64>("clip-id", 1)?;
     let (use_index, rebuild) = (args.switch("use-index"), args.switch("rebuild-index"));
-    let bundle = db.load_clip(clip_id).map_err(|e| e.to_string())?;
-    let bags = indexed_bags(&mut db, &bundle, use_index, rebuild)?;
+    let view = clip_view(&mut db, clip_id, use_index, rebuild)?;
     let event = event_from(args)?;
-    let labels = labels_from_bundle(&bundle, &event);
+    let labels = view.labels(&mut db, &event).map_err(|e| e.to_string())?;
     let (top_n, rounds) = (args.num("top", 20)?, args.num("rounds", 4)?);
     let learner = learner_arg(args)?.unwrap_or_else(LearnerKind::paper_ocsvm);
     // Ids continue past every stored one: rows are only written for
     // sessions that got feedback, so counting rows would reuse ids.
     let id = db.max_session_id() + 1;
-    let mut session = Session::open(id, clip_id, event.name, learner, Arc::new(bags));
+    let mut session = Session::open(id, clip_id, event.name, learner, Arc::clone(view.bags()));
     if args.switch("interactive") {
         let mut input = std::io::stdin().lock();
-        return interactive_query(&mut db, session, &bundle, &labels, top_n, rounds, &mut input);
+        return interactive_query(&mut db, session, &view, &labels, top_n, rounds, &mut input);
     }
 
     let oracle = GroundTruthOracle::new(labels);
@@ -757,12 +746,12 @@ fn store_session(db: &mut ShardedDb, row: SessionRow) -> Result<(), String> {
 /// Resumes a stored session at its latest checkpoint (`--session 0`,
 /// the default, picks the clip's most recently stored session) through
 /// its own learner, or through `--learner`, which must match it. A
-/// caller holding the clip's decoded `bundle` passes it, so a clip
-/// without a fresh index is not decoded twice.
+/// caller holding the clip's `view` passes it, so the clip is not read
+/// twice.
 fn resume_stored(
     db: &mut ShardedDb,
     args: &Args,
-    bundle: Option<&ClipBundle>,
+    view: Option<&ClipView>,
 ) -> Result<Session, String> {
     let clip_id = args.num::<u64>("clip-id", 1)?;
     let session_id = args.num::<u64>("session", 0)?;
@@ -775,12 +764,11 @@ fn resume_stored(
         .and_then(|id| latest_checkpoints(rows).remove(&id))
         .ok_or_else(|| format!("no stored session {session_id} for clip {clip_id}"))?;
     let kind = learner_arg(args)?;
-    let bags = tsvr_core::clip_bags(db, clip_id, |shard, cfg| match bundle {
-        Some(bundle) => Ok(dataset_from_bundle(bundle, cfg)),
-        None => Ok(dataset_from_bundle(&shard.load_clip(clip_id)?, cfg)),
-    })
-    .map_err(|e| e.to_string())?;
-    Session::resume(&row, kind, Arc::new(bags)).map_err(|e| e.to_string())
+    let bags = match view {
+        Some(view) => Arc::clone(view.bags()),
+        None => Arc::clone(ClipView::load(db, clip_id).map_err(|e| e.to_string())?.bags()),
+    };
+    Session::resume(&row, kind, bags).map_err(|e| e.to_string())
 }
 
 /// `session continue` (alias `resume`): resumes a stored session and
@@ -788,10 +776,10 @@ fn resume_stored(
 fn resume(args: &Args) -> Result<(), String> {
     let mut db = open_db(args)?;
     let clip_id = args.num::<u64>("clip-id", 1)?;
-    let bundle = db.load_clip(clip_id).map_err(|e| e.to_string())?;
-    let mut session = resume_stored(&mut db, args, Some(&bundle))?;
+    let view = ClipView::load(&mut db, clip_id).map_err(|e| e.to_string())?;
+    let mut session = resume_stored(&mut db, args, Some(&view))?;
     let event = EventQuery::from_name(session.query()).unwrap_or_else(|_| EventQuery::accidents());
-    let oracle = GroundTruthOracle::new(labels_from_bundle(&bundle, &event));
+    let oracle = GroundTruthOracle::new(view.labels(&mut db, &event).map_err(|e| e.to_string())?);
     let top_n = args.num("top", 20)?;
     println!(
         "resumed session {} (query {:?}, {} stored rounds):",
@@ -820,7 +808,7 @@ fn resume(args: &Args) -> Result<(), String> {
 fn interactive_query(
     db: &mut ShardedDb,
     mut session: Session,
-    bundle: &tsvr_viddb::ClipBundle,
+    view: &ClipView,
     gt_labels: &[bool],
     top_n: usize,
     rounds: usize,
@@ -836,7 +824,7 @@ fn interactive_query(
         );
         let mut feedback = Vec::new();
         for &w in session.page(top_n) {
-            let win = &bundle.windows[w];
+            let win = &view.dataset().windows[w];
             print!(
                 "window {:>3} frames {:>5}..{:<5} ({} vehicles)  {} [y/N] ",
                 w,
@@ -996,13 +984,13 @@ fn search(args: &Args) -> Result<(), String> {
     let event = event_from(args)?;
     let use_index = args.switch("use-index");
     let rebuild_index = args.switch("rebuild-index");
-    // Every clip's bags come through `indexed_bags` in both modes; the
-    // labels (incident annotations) come from the same decoded bundle.
+    // Every clip's bags and labels (incident annotations) come through
+    // one view in both modes.
     let mut parts = Vec::with_capacity(clip_ids.len());
     for &id in &clip_ids {
-        let bundle = db.load_clip(id).map_err(|e| e.to_string())?;
-        let bags = indexed_bags(&mut db, &bundle, use_index, rebuild_index)?;
-        parts.push((id, bags, labels_from_bundle(&bundle, &event)));
+        let view = clip_view(&mut db, id, use_index, rebuild_index)?;
+        let labels = view.labels(&mut db, &event).map_err(|e| e.to_string())?;
+        parts.push((id, view.bags().to_vec(), labels));
     }
     if use_index || rebuild_index {
         // Deterministic cross-clip preview straight off the index,
@@ -1429,21 +1417,20 @@ mod tests {
         .unwrap();
         // Drive the interactive session with canned answers.
         let mut dbh = ShardedDb::open(Path::new(&db)).unwrap();
-        let bundle = dbh.load_clip(1).unwrap();
-        let bags = Arc::new(bags_from_dataset(&dataset_from_bundle(&bundle, WindowConfig::default())));
+        let view = ClipView::load(&mut dbh, 1).unwrap();
         let event = EventQuery::accidents();
-        let labels = labels_from_bundle(&bundle, &event);
-        let open = |id| Session::open(id, 1, event.name, LearnerKind::paper_ocsvm(), Arc::clone(&bags));
+        let labels = view.labels(&mut dbh, &event).unwrap();
+        let open = |id| Session::open(id, 1, event.name, LearnerKind::paper_ocsvm(), Arc::clone(view.bags()));
         let answers = "y\nn\ny\nn\nn\ny\n";
         let mut input = std::io::Cursor::new(answers.as_bytes());
-        interactive_query(&mut dbh, open(1), &bundle, &labels, 3, 2, &mut input).unwrap();
+        interactive_query(&mut dbh, open(1), &view, &labels, 3, 2, &mut input).unwrap();
         let sessions = dbh.sessions_for_clip(1).unwrap();
         assert_eq!(sessions.len(), 1);
         assert_eq!(sessions[0].feedback.len(), 2);
         assert_eq!(sessions[0].feedback[0].len(), 3);
         // Early-closed input is handled too.
         let mut short = std::io::Cursor::new(b"y\n".as_slice());
-        interactive_query(&mut dbh, open(2), &bundle, &labels, 3, 2, &mut short).unwrap();
+        interactive_query(&mut dbh, open(2), &view, &labels, 3, 2, &mut short).unwrap();
         let _ = std::fs::remove_dir_all(&db);
     }
 

@@ -11,7 +11,10 @@
 //! carries a hash over `(clip_id, window/feature configuration, pipeline
 //! version)`. [`load_index`] recomputes the hash for the configuration
 //! the caller is about to query with and treats any mismatch as a miss,
-//! so a stale index is rebuilt rather than silently served.
+//! so a stale index is never served. Rebuilding one from an archived
+//! clip ([`dataset_from_bundle`]) reuses the α rows the bundle stored at
+//! ingest: a feature-configuration change reaches that clip only when it
+//! is re-ingested.
 
 use tsvr_trajectory::checkpoint::{Alpha, FeatureConfig, VelocitySource};
 use tsvr_trajectory::{Dataset, TrajectorySequence, VideoSequence, WindowConfig};

@@ -128,19 +128,28 @@ pub fn archive_clip_video(
 /// Ground-truth labels for a stored bundle's windows under a query.
 /// Incident kinds stored with unknown names are ignored.
 pub fn labels_from_bundle(bundle: &ClipBundle, query: &EventQuery) -> Vec<bool> {
-    bundle
-        .windows
-        .iter()
-        .map(|w| {
-            bundle.incidents.iter().any(|r| {
-                IncidentKind::from_name(&r.kind)
-                    .map(|k| query.matches(k))
-                    .unwrap_or(false)
-                    && r.start_frame <= w.end_frame
-                    && w.start_frame <= r.end_frame
-            })
-        })
-        .collect()
+    let incidents = &bundle.incidents;
+    let overlaps = |w: &WindowRow| {
+        incidents_overlap(incidents, query, w.start_frame.into(), w.end_frame.into())
+    };
+    bundle.windows.iter().map(overlaps).collect()
+}
+
+/// Whether some stored incident of a kind `query` matches overlaps the
+/// inclusive frame span `[start_frame, end_frame]`. Kinds stored with
+/// unknown names match nothing. Window labels and the planner's event
+/// clause both apply this one rule.
+pub(crate) fn incidents_overlap(
+    incidents: &[IncidentRow],
+    query: &EventQuery,
+    start_frame: u64,
+    end_frame: u64,
+) -> bool {
+    incidents.iter().any(|r| {
+        IncidentKind::from_name(&r.kind).is_some_and(|k| query.matches(k))
+            && u64::from(r.start_frame) <= end_frame
+            && start_frame <= u64::from(r.end_frame)
+    })
 }
 
 #[cfg(test)]

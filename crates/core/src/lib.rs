@@ -37,6 +37,7 @@ pub mod qlang;
 pub mod query;
 pub mod session;
 pub mod sketch;
+pub mod view;
 
 pub use index::{
     build_index, config_hash, dataset_from_bundle, dataset_from_segment, fresh_segment, load_index,
@@ -54,5 +55,6 @@ pub use qlang::{
     FeatureField, PlanError, PlanOutcome, PlanStats, Planner, Query, QueryError, NOMINAL_FPS,
 };
 pub use query::{EventQuery, RankedWindow, TopK, UnknownEventName};
-pub use session::{clip_bags, latest_checkpoints, Session, SessionError};
+pub use session::{latest_checkpoints, Session, SessionError};
 pub use sketch::SketchQuery;
+pub use view::{ClipView, ClipViews};

@@ -12,6 +12,7 @@
 //! session can rank the entire database.
 
 use crate::query::{RankedWindow, TopK};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use tsvr_mil::{Bag, Learner};
 use tsvr_viddb::{DbError, ShardedDb};
@@ -47,7 +48,7 @@ impl MultiClipIndex {
 
     /// Builds a unified index from per-clip parts, however each clip's
     /// bags were read (fresh index or archived bundle, see
-    /// [`crate::clip_bags`]). Each part is `(clip_id, bags, labels)`
+    /// [`crate::ClipView::load`]). Each part is `(clip_id, bags, labels)`
     /// with `bags[i]` being window `i` of that clip; bag ids are
     /// re-densified across clips.
     pub fn from_parts(parts: Vec<(u64, Vec<Bag>, Vec<bool>)>) -> MultiClipIndex {
@@ -76,32 +77,33 @@ impl MultiClipIndex {
 
 /// One clip's windows as MIL bags, ready for cross-clip scoring.
 /// `bags[i].id` is the window index within the clip (the
-/// [`crate::pipeline::bags_from_dataset`] convention).
+/// [`crate::pipeline::bags_from_dataset`] convention). `B` is `&Bag`
+/// when the bags are borrowed from elsewhere (the planner's views).
 #[derive(Debug, Clone)]
-pub struct ClipWindows {
+pub struct ClipWindows<B = Bag> {
     /// The clip the bags came from.
     pub clip_id: u64,
     /// Per-window bags in window order.
-    pub bags: Vec<Bag>,
+    pub bags: Vec<B>,
 }
 
 /// One shard's worth of clips, the unit of parallel scatter-gather:
 /// the query layer builds one `ShardWindows` per healthy
 /// [`ShardedDb`] shard and ranks shards concurrently.
 #[derive(Debug, Clone)]
-pub struct ShardWindows {
+pub struct ShardWindows<B = Bag> {
     /// Shard file name (diagnostic only; never affects ranking).
     pub shard: String,
     /// The shard's clips, each with its windows as MIL bags.
-    pub clips: Vec<ClipWindows>,
+    pub clips: Vec<ClipWindows<B>>,
 }
 
-impl ShardWindows {
+impl<B> ShardWindows<B> {
     /// Groups clips by the shard `db` stores each in, shards in name
     /// order and clips in input order. A clip the database does not
     /// know is [`DbError::ClipNotFound`].
-    pub fn group(db: &ShardedDb, clips: Vec<ClipWindows>) -> Result<Vec<ShardWindows>, DbError> {
-        let mut by_shard: BTreeMap<&str, Vec<ClipWindows>> = BTreeMap::new();
+    pub fn group(db: &ShardedDb, clips: Vec<ClipWindows<B>>) -> Result<Vec<Self>, DbError> {
+        let mut by_shard: BTreeMap<&str, Vec<ClipWindows<B>>> = BTreeMap::new();
         for clip in clips {
             let shard = db
                 .shard_of_clip(clip.clip_id)
@@ -165,13 +167,17 @@ impl Scorer<'_> {
 /// and the locals gather through [`merge_local_topk`]. The result is
 /// the same bytes for any partition of the clips into shards, at any
 /// thread count.
-pub fn rank_topk(shards: &[ShardWindows], scorer: Scorer<'_>, k: usize) -> Vec<RankedWindow> {
+pub fn rank_topk<B: Borrow<Bag> + Sync>(
+    shards: &[ShardWindows<B>],
+    scorer: Scorer<'_>,
+    k: usize,
+) -> Vec<RankedWindow> {
     let _span = tsvr_obs::span!("query.multiclip.sharded");
     tsvr_obs::counter!("query.scatter.shards").add(shards.len() as u64);
     let locals = tsvr_par::par_map_est(shards, shard_cost_hint_ns(shards), |_, shard| {
         let mut topk = TopK::new(k);
         for clip in &shard.clips {
-            for bag in &clip.bags {
+            for bag in clip.bags.iter().map(Borrow::borrow) {
                 topk.push(scorer.score(bag), clip.clip_id, bag.id as u64);
             }
         }
@@ -184,7 +190,7 @@ pub fn rank_topk(shards: &[ShardWindows], scorer: Scorer<'_>, k: usize) -> Vec<R
 /// shard at a couple of microseconds per bag (score + top-k push).
 /// Coarse on purpose — it only needs to keep a handful of near-empty
 /// shards off the fork-join path.
-fn shard_cost_hint_ns(shards: &[ShardWindows]) -> u64 {
+fn shard_cost_hint_ns<B>(shards: &[ShardWindows<B>]) -> u64 {
     let bags: usize = shards
         .iter()
         .map(|s| s.clips.iter().map(|c| c.bags.len()).sum::<usize>())
@@ -434,8 +440,8 @@ mod tests {
 
     #[test]
     fn sharded_topk_of_nothing_is_empty() {
-        assert!(rank_topk(&[], Scorer::Heuristic, 5).is_empty());
-        let shards = [ShardWindows { shard: "empty".into(), clips: vec![] }];
+        assert!(rank_topk::<Bag>(&[], Scorer::Heuristic, 5).is_empty());
+        let shards: [ShardWindows; 1] = [ShardWindows { shard: "empty".into(), clips: vec![] }];
         assert!(rank_topk(&shards, Scorer::Heuristic, 5).is_empty());
     }
 
@@ -444,7 +450,7 @@ mod tests {
         let mut db = tsvr_viddb::ShardedDb::from(tsvr_viddb::VideoDb::in_memory());
         let (a, _) = two_bundles();
         db.put_clip(&a).unwrap();
-        let clip = |clip_id| ClipWindows { clip_id, bags: vec![] };
+        let clip = |clip_id| ClipWindows::<Bag> { clip_id, bags: vec![] };
         let shards = ShardWindows::group(&db, vec![clip(1)]).unwrap();
         assert_eq!(shards.len(), 1);
         assert_eq!(shards[0].shard, tsvr_viddb::SINGLE_FILE_SHARD);

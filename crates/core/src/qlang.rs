@@ -16,11 +16,13 @@
 //!    exactly: a clip routes by its *start* bucket but is kept for any
 //!    query window its real `[start, end]` span overlaps.
 //! 2. **Window pre-filtering** — α-feature, class, event and time
-//!    predicates are evaluated per window against the stored TSIX index
-//!    rows (flat raw-α values) or, when no fresh index exists, the
-//!    archived bundle rows. Zero vision work in either case.
-//! 3. **MIL ranking over survivors only** — the surviving windows are
-//!    grouped per shard and ranked through the same
+//!    predicates are evaluated per window against the clip's
+//!    [`ClipView`]: its raw-α window rows (from the fresh TSIX index,
+//!    else the archived bundle) and, for event clauses only, its stored
+//!    incident rows. Zero vision work in either case.
+//! 3. **MIL ranking over survivors only** — the surviving windows'
+//!    bags, taken from their views by position, are grouped per shard
+//!    and ranked through the same
 //!    [`crate::multiclip::rank_topk`] scatter-gather as an unplanned
 //!    scan, so the planned ranking is *byte-identical* to a full scan
 //!    post-filtered by the same predicates, at any thread count.
@@ -49,15 +51,17 @@
 //! Parsing never panics: every failure is a typed [`QueryError`], and
 //! unknown event/class/clause names carry "did-you-mean" suggestions.
 
-use crate::index::{dataset_from_bundle, dataset_from_segment, fresh_segment};
+use crate::ingest::incidents_overlap;
 use crate::multiclip::{rank_topk, ClipWindows, Scorer, ShardWindows};
-use crate::pipeline::bags_from_dataset;
 use crate::query::{EventQuery, RankedWindow, UnknownEventName};
+use crate::view::{ClipView, ClipViews};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 use tsvr_sim::VehicleClass;
-use tsvr_trajectory::WindowConfig;
-use tsvr_viddb::{ClipStub, DbError, RouteStatus, ShardRoute, ShardedDb};
+use tsvr_trajectory::VideoSequence;
+use tsvr_viddb::{ClipStub, DbError, IncidentRow, RouteStatus, ShardRoute, ShardedDb};
 use tsvr_vision::pca::PcaClassifier;
 use tsvr_vision::tracker::{BlobStats, Track};
 
@@ -869,9 +873,6 @@ pub fn classify_tracks(tracks: &[Track]) -> Vec<(u64, VehicleClass)> {
 pub enum PlanError {
     /// The database failed mid-plan.
     Db(DbError),
-    /// The query itself cannot be planned (today: never produced by a
-    /// successfully parsed query, reserved for compile-stage checks).
-    Query(QueryError),
     /// A `class = …` predicate over a clip with no roster coverage.
     ClassesUnavailable {
         /// The uncovered clip.
@@ -883,7 +884,6 @@ impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlanError::Db(e) => write!(f, "database error: {e}"),
-            PlanError::Query(e) => write!(f, "query error: {e}"),
             PlanError::ClassesUnavailable { clip_id } => write!(
                 f,
                 "class predicate cannot be evaluated: no vehicle-class roster \
@@ -954,33 +954,45 @@ pub struct PlanOutcome {
 }
 
 /// The progressive query planner. See the module docs for the three
-/// stages and the determinism contract.
+/// stages and the determinism contract. Clips are read as
+/// [`ClipView`]s, under the default window/feature configuration.
 pub struct Planner<'a> {
     /// Ranking depth (top-k).
     pub top_k: usize,
-    /// Window/feature configuration the archive's indexes were built
-    /// with (used for index-freshness hashing and bag construction).
-    pub config: WindowConfig,
     /// Vehicle-class roster for `class = …` predicates.
     pub classes: Option<&'a ClassRoster>,
 }
 
 impl<'a> Planner<'a> {
-    /// A planner with the default pipeline configuration and no class
-    /// roster.
+    /// A planner with no class roster.
     pub fn new(top_k: usize) -> Planner<'a> {
         Planner {
             top_k,
-            config: WindowConfig::default(),
             classes: None,
         }
     }
 
     /// Executes `query` over `db` progressively and returns the ranked
-    /// survivors plus the plan receipt.
+    /// survivors plus the plan receipt. Every candidate clip is read
+    /// afresh; [`Planner::run_with`] reads through views kept across
+    /// plans.
     pub fn run(
         &self,
         db: &mut ShardedDb,
+        query: &Query,
+        scorer: Scorer<'_>,
+    ) -> Result<PlanOutcome, PlanError> {
+        self.run_with(db, &mut ClipViews::new(), query, scorer)
+    }
+
+    /// [`Planner::run`], reading each candidate clip's view from
+    /// `views`, or loading it with [`ClipView::load`] and adding it
+    /// there. The views must be of `db` as it is now: the caller drops
+    /// a view whose clip changes.
+    pub fn run_with(
+        &self,
+        db: &mut ShardedDb,
+        views: &mut ClipViews,
         query: &Query,
         scorer: Scorer<'_>,
     ) -> Result<PlanOutcome, PlanError> {
@@ -1018,22 +1030,48 @@ impl<'a> Planner<'a> {
         tsvr_obs::counter!("query.plan.shards_pruned").add(stats.shards_pruned as u64);
         tsvr_obs::counter!("query.plan.clips_pruned").add(stats.clips_pruned as u64);
 
-        // Stage 2: per-window pre-filtering against stored rows, then
-        // bag construction for survivors only.
-        let mut clip_windows: Vec<ClipWindows> = Vec::new();
+        // Stage 2: per-window pre-filtering against each candidate's
+        // view.
+        let mut admitted: Vec<(Arc<ClipView>, Vec<usize>)> = Vec::new();
         for stub in &candidates {
-            let survivors = self.filter_clip_windows(db, stub, &compiled, &mut stats)?;
-            if !survivors.bags.is_empty() {
-                clip_windows.push(survivors);
+            let view = Arc::clone(match views.entry(stub.clip_id) {
+                Entry::Occupied(kept) => kept.into_mut(),
+                Entry::Vacant(slot) => slot.insert(Arc::new(ClipView::load(db, stub.clip_id)?)),
+            });
+            let incidents = if compiled.events.is_empty() {
+                &[]
+            } else {
+                view.incidents(db)?
+            };
+            let mut windows = Vec::new();
+            for (i, window) in view.dataset().windows.iter().enumerate() {
+                if compiled.window_admits(stub, window, incidents, self.classes)? {
+                    windows.push(i);
+                }
+            }
+            let scanned = view.dataset().windows.len();
+            stats.windows_scanned += scanned;
+            stats.windows_ranked += windows.len();
+            stats.windows_prefiltered += scanned - windows.len();
+            if !windows.is_empty() {
+                admitted.push((view, windows));
             }
         }
         tsvr_obs::counter!("query.plan.windows_prefiltered")
             .add(stats.windows_prefiltered as u64);
         tsvr_obs::counter!("query.plan.windows_ranked").add(stats.windows_ranked as u64);
 
-        // Stage 3: MIL ranking over survivors, grouped per shard and
-        // merged through the deterministic scatter-gather.
-        let shards = ShardWindows::group(db, clip_windows)?;
+        // Stage 3: MIL ranking over survivors, their bags borrowed from
+        // the views, grouped per shard and merged through the
+        // deterministic scatter-gather.
+        let survivors = admitted
+            .iter()
+            .map(|(view, windows)| ClipWindows {
+                clip_id: view.clip_id(),
+                bags: windows.iter().map(|&i| &view.bags()[i]).collect(),
+            })
+            .collect();
+        let shards = ShardWindows::group(db, survivors)?;
         let ranking = rank_topk(&shards, scorer, self.top_k);
         if !degraded.is_empty() {
             tsvr_obs::counter!("query.plan.degraded_routes").add(degraded.len() as u64);
@@ -1043,99 +1081,6 @@ impl<'a> Planner<'a> {
             stats,
             degraded,
         })
-    }
-
-    /// Stage 2 for one clip: evaluate predicates on stored rows and
-    /// build bags for the surviving windows only. Survivors go through
-    /// the one canonical conversion of an unplanned scan — a
-    /// [`Dataset`](tsvr_trajectory::Dataset) (from the fresh index, else
-    /// the bundle), retained to
-    /// the survivors, then [`bags_from_dataset`] — so each surviving
-    /// window's bag is bit-identical to what a full scan would have
-    /// scored.
-    fn filter_clip_windows(
-        &self,
-        db: &mut ShardedDb,
-        stub: &ClipStub,
-        compiled: &Compiled<'_>,
-        stats: &mut PlanStats,
-    ) -> Result<ClipWindows, PlanError> {
-        let clip_id = stub.clip_id;
-        // A fresh TSIX segment serves the α rows without touching the
-        // bundle; events additionally need the bundle's incident rows.
-        let fresh_segment = fresh_segment(db.load_index(clip_id)?, clip_id, &self.config);
-        let bundle = if fresh_segment.is_none() || !compiled.events.is_empty() {
-            Some(db.load_clip(clip_id)?)
-        } else {
-            None
-        };
-        let incidents: &[tsvr_viddb::IncidentRow] =
-            bundle.as_ref().map(|b| b.incidents.as_slice()).unwrap_or(&[]);
-
-        let mut keep: BTreeSet<u64> = BTreeSet::new();
-        let mut scanned_here = 0usize;
-        // Each arm admits windows, then reshapes its rows into the
-        // clip's dataset only when some window survived.
-        let survivors = match &fresh_segment {
-            Some(seg) => {
-                scanned_here += seg.windows.len();
-                for row in &seg.windows {
-                    let alphas = row.features.chunks_exact(3).map(|c| [c[0], c[1], c[2]]);
-                    let admit = compiled.window_admits(
-                        stub,
-                        u64::from(row.window_index),
-                        row.start_frame,
-                        row.end_frame,
-                        &row.track_ids,
-                        alphas,
-                        incidents,
-                        self.classes,
-                    )?;
-                    if admit {
-                        keep.insert(u64::from(row.window_index));
-                    }
-                }
-                (!keep.is_empty()).then(|| dataset_from_segment(seg, self.config))
-            }
-            None => {
-                let bundle = bundle.as_ref().expect("bundle loaded when no fresh index");
-                scanned_here += bundle.windows.len();
-                for row in &bundle.windows {
-                    let track_ids: Vec<u64> =
-                        row.sequences.iter().map(|s| s.track_id).collect();
-                    let alphas = row
-                        .sequences
-                        .iter()
-                        .flat_map(|s| s.alphas.iter().copied());
-                    let admit = compiled.window_admits(
-                        stub,
-                        u64::from(row.window_index),
-                        u64::from(row.start_frame),
-                        u64::from(row.end_frame),
-                        &track_ids,
-                        alphas,
-                        incidents,
-                        self.classes,
-                    )?;
-                    if admit {
-                        keep.insert(u64::from(row.window_index));
-                    }
-                }
-                (!keep.is_empty()).then(|| dataset_from_bundle(bundle, self.config))
-            }
-        };
-        let bags = match survivors {
-            Some(mut dataset) => {
-                dataset.windows.retain(|w| keep.contains(&(w.index as u64)));
-                bags_from_dataset(&dataset)
-            }
-            None => Vec::new(),
-        };
-        let kept = bags.len();
-        stats.windows_scanned += scanned_here;
-        stats.windows_ranked += kept;
-        stats.windows_prefiltered += scanned_here.saturating_sub(kept);
-        Ok(ClipWindows { clip_id, bags })
     }
 }
 
@@ -1284,18 +1229,14 @@ impl<'q> Compiled<'q> {
     /// satisfied by different rows. Class clauses likewise: some track
     /// of the window carries the class. Event clauses: some stored
     /// incident of a matching kind overlaps the window's frame span.
-    #[allow(clippy::too_many_arguments)]
     fn window_admits(
         &self,
         stub: &ClipStub,
-        _window_index: u64,
-        start_frame: u64,
-        end_frame: u64,
-        track_ids: &[u64],
-        alphas: impl Iterator<Item = [f64; 3]> + Clone,
-        incidents: &[tsvr_viddb::IncidentRow],
+        window: &VideoSequence,
+        incidents: &[IncidentRow],
         roster: Option<&ClassRoster>,
     ) -> Result<bool, PlanError> {
+        let (start_frame, end_frame) = (window.start_frame, window.end_frame);
         // Window-level absolute time: tighter than the clip-level span.
         let (from, to) = self.time;
         if from > to {
@@ -1308,35 +1249,31 @@ impl<'q> Compiled<'q> {
         }
         // Class clauses.
         for class in &self.classes {
-            let roster = roster.ok_or(PlanError::ClassesUnavailable {
-                clip_id: stub.clip_id,
-            })?;
-            if !roster.covers(stub.clip_id) {
-                return Err(PlanError::ClassesUnavailable {
-                    clip_id: stub.clip_id,
-                });
-            }
-            let any = track_ids
+            let roster =
+                roster
+                    .filter(|r| r.covers(stub.clip_id))
+                    .ok_or(PlanError::ClassesUnavailable {
+                        clip_id: stub.clip_id,
+                    })?;
+            let any = window
+                .sequences
                 .iter()
-                .any(|&t| roster.class_of(stub.clip_id, t) == Some(*class));
+                .any(|ts| roster.class_of(stub.clip_id, ts.track_id) == Some(*class));
             if !any {
                 return Ok(false);
             }
         }
         // Event clauses against stored incident rows.
         for event in &self.events {
-            let any = incidents.iter().any(|r| {
-                tsvr_sim::IncidentKind::from_name(&r.kind)
-                    .map(|k| event.matches(k))
-                    .unwrap_or(false)
-                    && u64::from(r.start_frame) <= end_frame
-                    && start_frame <= u64::from(r.end_frame)
-            });
-            if !any {
+            if !incidents_overlap(incidents, event, start_frame, end_frame) {
                 return Ok(false);
             }
         }
         // Feature clauses on raw α rows.
+        let alphas = window
+            .sequences
+            .iter()
+            .flat_map(|ts| ts.alphas.iter().map(|a| a.as_array()));
         for clause in &self.features {
             let any = match clause {
                 Clause::Feature { field, op, value } => alphas

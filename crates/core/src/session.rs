@@ -11,12 +11,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::index::load_index;
-use crate::pipeline::{bags_from_dataset, LearnerKind};
+use crate::pipeline::LearnerKind;
 use tsvr_mil::session::rank_scores;
 use tsvr_mil::{heuristic, Bag, Learner, Oracle, RetrievalSession, SessionConfig, SessionReport};
-use tsvr_trajectory::{Dataset, WindowConfig};
-use tsvr_viddb::{DbError, SessionRow, ShardedDb, VideoDb};
+use tsvr_viddb::SessionRow;
 
 /// Why a session could not be resumed or take a feedback round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -290,27 +288,6 @@ pub fn latest_checkpoints(rows: impl IntoIterator<Item = SessionRow>) -> BTreeMa
         }
     }
     latest
-}
-
-/// A clip's bags: from its stored feature index when that is fresh for
-/// the default configuration, else from the dataset `fallback` builds
-/// from the clip's bundle ([`crate::dataset_from_bundle`], over the
-/// bundle decoded from the clip's shard or over one the caller already
-/// holds, so no bundle is decoded twice). This is the one "fresh index,
-/// else bundle" read; both sources yield bit-identical bags and neither
-/// runs vision.
-pub fn clip_bags(
-    db: &mut ShardedDb,
-    clip_id: u64,
-    fallback: impl FnOnce(&mut VideoDb, WindowConfig) -> Result<Dataset, DbError>,
-) -> Result<Vec<Bag>, DbError> {
-    let shard = db.routed_shard(clip_id)?;
-    let config = WindowConfig::default();
-    let dataset = match load_index(shard, clip_id, &config)? {
-        Some(dataset) => dataset,
-        None => fallback(shard, config)?,
-    };
-    Ok(bags_from_dataset(&dataset))
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! Rankings are deterministic: a session's responses are byte-identical
 //! whether it runs alone on one thread or interleaved with other
 //! sessions across the pool, because all shared state is per-clip
-//! read-only bag data and each session's learner is private.
+//! read-only view data and each session's learner is private.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,13 +21,15 @@
 //! checkpoint and metrics around it.
 //!
 //! One mutex per session serializes that client's requests; different
-//! sessions only contend on three short-held maps (database handle,
-//! clip cache, session table). The expensive work — scoring every bag —
+//! sessions contend on three maps: the database handle, the clip view
+//! map and the session table. The expensive work — scoring every bag —
 //! runs outside all service locks except the owning session's, and fans
 //! out internally on the bounded [`tsvr_par`] pool via
-//! [`Learner::score_all`](tsvr_mil::Learner::score_all). Lock order is
-//! `session → db`; nothing acquires a session lock while holding the db
-//! lock.
+//! [`Learner::score_all`](tsvr_mil::Learner::score_all). A `query`
+//! holds the database and the view map for its whole plan. Lock order
+//! is `session → db → views`; nothing acquires a session lock while
+//! holding the db lock, and an `open` or `resume` that misses the view
+//! map releases it before it takes the db lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,8 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::proto::{Envelope, ErrorKind, Request, Response, ServeError, SessionSummary};
-use tsvr_core::{latest_checkpoints, LearnerKind, Session, SessionError};
-use tsvr_mil::Bag;
+use tsvr_core::{latest_checkpoints, ClipView, ClipViews, LearnerKind, Session, SessionError};
 use tsvr_viddb::{DbError, ShardedDb};
 
 /// Service tuning knobs.
@@ -63,11 +64,11 @@ impl Default for ServiceConfig {
 /// [`crate::server`] is one such caller, tests and the CLI are others.
 pub struct Service {
     db: Mutex<ShardedDb>,
-    /// Per-clip bag cache: loaded once (index-served when fresh),
-    /// shared read-only by every session on the clip. This is the
-    /// service's only clip cache; viddb stores and does not cache, so
-    /// a clip missing here is read from disk.
-    clips: Mutex<HashMap<u64, Arc<Vec<Bag>>>>,
+    /// Every clip view read so far, shared read-only by sessions and
+    /// planned queries, so a warm plan or `open` decodes nothing. A
+    /// view cannot go stale: the service owns its archive and writes
+    /// only session rows. This is the system's only clip cache.
+    views: Mutex<ClipViews>,
     sessions: Mutex<HashMap<u64, Arc<Mutex<Session>>>>,
     next_id: AtomicU64,
     draining: AtomicBool,
@@ -165,7 +166,7 @@ impl Service {
         let next = db.max_session_id() + 1;
         Service {
             db: Mutex::new(db),
-            clips: Mutex::new(HashMap::new()),
+            views: Mutex::new(ClipViews::new()),
             sessions: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(next),
             draining: AtomicBool::new(false),
@@ -279,27 +280,20 @@ impl Service {
         }
     }
 
-    /// The clip's bag database: cached, else loaded by
-    /// [`tsvr_core::clip_bags`] (fresh index, else the archived bundle
-    /// decoded here; bit-identical either way, and neither re-runs
-    /// vision work).
-    fn clip_bags(&self, clip_id: u64) -> Result<Arc<Vec<Bag>>, Response> {
-        if let Some(bags) = self.clips.lock().unwrap().get(&clip_id) {
-            return Ok(Arc::clone(bags));
+    /// The clip's view: kept, else read by [`ClipView::load`].
+    fn clip_view(&self, clip_id: u64) -> Result<Arc<ClipView>, Response> {
+        if let Some(view) = self.views.lock().unwrap().get(&clip_id) {
+            return Ok(Arc::clone(view));
         }
-        // Load outside the cache lock; a racing load computes the same
+        // Load outside the view lock; a racing load computes the same
         // value, and the first insert wins.
-        let bags = tsvr_core::clip_bags(&mut self.db.lock().unwrap(), clip_id, |shard, cfg| {
-            Ok(tsvr_core::dataset_from_bundle(&shard.load_clip(clip_id)?, cfg))
-        })
-        .map_err(|e| db_err(&e))?;
-        let bags = Arc::new(bags);
+        let view = ClipView::load(&mut self.db.lock().unwrap(), clip_id).map_err(|e| db_err(&e))?;
         Ok(Arc::clone(
-            self.clips
+            self.views
                 .lock()
                 .unwrap()
                 .entry(clip_id)
-                .or_insert_with(|| Arc::clone(&bags)),
+                .or_insert_with(|| Arc::new(view)),
         ))
     }
 
@@ -320,7 +314,7 @@ impl Service {
     fn open(&self, clip_id: u64, query: &str, learner: &str, deadline: Deadline) -> Reply {
         self.refuse_if_draining()?;
         let kind = learner_kind(learner)?;
-        let bags = self.clip_bags(clip_id)?;
+        let bags = Arc::clone(self.clip_view(clip_id)?.bags());
         deadline.check()?;
         let session_id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let opened = self.install(Session::open(session_id, clip_id, query, kind, bags));
@@ -352,7 +346,7 @@ impl Service {
         })?;
         // No learner named: the one the stored row names.
         let kind = learner.map(learner_kind).transpose()?;
-        let bags = self.clip_bags(clip_id)?;
+        let bags = Arc::clone(self.clip_view(clip_id)?.bags());
         deadline.check()?;
         let session = Session::resume(&row, kind, bags).map_err(|e| session_err(session_id, &e))?;
         let opened = self.install(session);
@@ -457,7 +451,9 @@ impl Service {
         deadline.check()?;
         let planner = tsvr_core::Planner::new(k.unwrap_or(self.cfg.default_top_n));
         let mut db = self.db.lock().unwrap();
-        Ok(match planner.run(&mut db, &parsed, tsvr_core::Scorer::Heuristic) {
+        let mut views = self.views.lock().unwrap();
+        let outcome = planner.run_with(&mut db, &mut views, &parsed, tsvr_core::Scorer::Heuristic);
+        Ok(match outcome {
             Ok(out) => {
                 if !out.degraded.is_empty() {
                     tsvr_obs::counter!("serve.query.partial").incr();
@@ -476,7 +472,6 @@ impl Service {
             Err(e @ tsvr_core::PlanError::ClassesUnavailable { .. }) => {
                 err(ErrorKind::BadRequest, e.to_string())
             }
-            Err(tsvr_core::PlanError::Query(e)) => err(ErrorKind::BadRequest, format!("query: {e}")),
         })
     }
 

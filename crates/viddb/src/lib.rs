@@ -28,7 +28,7 @@
 //!   metadata queries (by location, camera, time range) and session
 //!   persistence. It stores; it does not cache: every `load_clip`
 //!   decodes and CRC-checks the record, and callers that reuse decoded
-//!   data (serve's per-clip bags) keep it themselves;
+//!   data (serve's clip views) keep it themselves;
 //! * [`shard`] — [`shard::ShardedDb`]: a directory of independently
 //!   compacted per-`(camera, time-bucket)` [`db::VideoDb`] shards
 //!   behind a manifest log, routing writes by shard key and degrading

@@ -97,6 +97,10 @@ echo "   50 ping round trips: ${pings_ms} ms"
     kill "$serve_pid" 2>/dev/null || true
     exit 1
 }
+# The first planned query reads clip 1 cold; the server keeps its view,
+# so every later query and the session below read it warm.
+./target/release/tsvr query "vdiff >= 0.5" \
+    --addr "127.0.0.1:$port" --top 3 | tee "$smoke/query_remote_cold.out"
 send '{"op":"open","clip_id":1,"query":"accident","learner":"ocsvm"}'
                                                          expect '"ok":"opened"'
 send '{"op":"page","session_id":1,"n":5}';               expect '"ok":"page"'
@@ -111,9 +115,13 @@ send '{"op":"page","session_id":99}';                    expect '"error":"not_fo
 send '{"op":"query","expr":"vdiff >= 0.5","k":3}';       expect '"ok":"query"'
 send '{"op":"query","expr":"event = acident"}';          expect '"error":"bad_request"'
 # The remote CLI proxies through the server; the local CLI plans
-# directly against the database. Same query, byte-identical output.
+# directly against the database. Same query, byte-identical output,
+# warm (view kept since the cold query above) or cold; an event query
+# also reads the clip's stored incidents through the kept view.
 ./target/release/tsvr query "vdiff >= 0.5" \
     --addr "127.0.0.1:$port" --top 3 | tee "$smoke/query_remote.out"
+./target/release/tsvr query "event = accident" \
+    --addr "127.0.0.1:$port" --top 3 | tee "$smoke/query_event_remote.out"
 # Ops plane: live registry snapshot, latest trace tree, slowlog.
 send '{"op":"stats"}';                                   expect '"ok":"stats"'
 send '{"op":"trace"}';                                   expect '"ok":"trace"'
@@ -143,7 +151,11 @@ replayed_top="$(sed -n 's/.*current top [0-9]*: \[\(.*\)\]/\1/p' "$smoke/replay.
 # while proxying through the server.
 ./target/release/tsvr query "vdiff >= 0.5" \
     --db "$smoke/smoke.db" --top 3 | tee "$smoke/query_local.out"
+diff "$smoke/query_remote_cold.out" "$smoke/query_local.out"
 diff "$smoke/query_remote.out" "$smoke/query_local.out"
+./target/release/tsvr query "event = accident" \
+    --db "$smoke/smoke.db" --top 3 | tee "$smoke/query_event_local.out"
+diff "$smoke/query_event_remote.out" "$smoke/query_event_local.out"
 
 # Search identity across processes: `search` reads every clip's bags
 # through one conversion, so from the `cross-camera index` line on the

@@ -4,20 +4,40 @@
 //!    concurrently against one shared [`tsvr_serve::Service`] receive
 //!    exactly the rankings they would get running alone against a fresh
 //!    service over the same database. Session state is private per
-//!    client; the only shared state (clip bag caches) is read-only.
+//!    client; the only shared state (clip views) is read-only.
 //!
 //! 2. **Checkpoint durability** — with a crash injected at *every*
 //!    storage operation in turn (the PR-3 [`FaultyStorage`] sweep), a
 //!    feedback round the client saw acked (`learned`) is never lost:
 //!    the reopened database replays to the exact post-round ranking the
 //!    original session served.
+//!
+//! 3. **Warm plans are cold plans** — a served `query` reads clips
+//!    through the views the service keeps; once every view is warm it
+//!    decodes nothing, and it still answers exactly what a cold
+//!    `Planner::run` on a freshly opened archive answers.
 
-use std::sync::{Arc, Barrier};
-use tsvr_core::{bundle_from_clip, prepare_clip, PipelineOptions};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
+use tsvr_core::{
+    build_index, bundle_from_clip, dataset_from_bundle, parse_query, prepare_clip, PipelineOptions,
+    Planner, RankedWindow, Scorer,
+};
 use tsvr_serve::{Envelope, ErrorKind, Request, Response, Service, ServiceConfig};
 use tsvr_sim::Scenario;
+use tsvr_trajectory::WindowConfig;
 use tsvr_viddb::record::ClipBundle;
-use tsvr_viddb::{ClipMeta, FaultKind, FaultyStorage, MemStorage, VideoDb};
+use tsvr_viddb::{ClipMeta, FaultKind, FaultyStorage, MemStorage, ShardedDb, VideoDb};
+
+/// Held by every test that reads clips: the warm-plan test counts the
+/// process-wide `viddb.load_*` spans, which a concurrent test's reads
+/// would move.
+static CLIP_READS: Mutex<()> = Mutex::new(());
+
+fn clip_reads() -> MutexGuard<'static, ()> {
+    CLIP_READS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn make_bundle(clip_id: u64, seed: u64) -> ClipBundle {
     let clip = prepare_clip(&Scenario::tunnel_small(seed), &PipelineOptions::default());
@@ -108,9 +128,10 @@ fn run_client(service: &Service, clip_id: u64, learner: &str, salt: u64) -> Vec<
 
 #[test]
 fn interleaved_sessions_match_solo_rankings() {
+    let _reads = clip_reads();
     let bundles = vec![make_bundle(1, 41), make_bundle(2, 42)];
     // (clip, learner, salt): two clients per clip, mixed learners, so
-    // sessions share bag caches but never learner state.
+    // sessions share clip views but never learner state.
     let clients: Vec<(u64, &str, u64)> =
         vec![(1, "ocsvm", 0), (1, "wrf", 1), (2, "ocsvm", 2), (2, "wrf", 3)];
 
@@ -234,6 +255,7 @@ fn drive_session(
 
 #[test]
 fn crash_at_every_op_never_loses_an_acked_round() {
+    let _reads = clip_reads();
     // Seed image: one stored clip, synced.
     let bundle = make_bundle(1, 43);
     let seed_image = {
@@ -332,4 +354,145 @@ fn crash_at_every_op_never_loses_an_acked_round() {
             );
         }
     }
+}
+
+/// The e2e benchmark's six query classes.
+const CLASSES: [&str; 6] = [
+    "all",
+    "event = accident",
+    "camera = cam-01",
+    "camera = cam-02 and time in [3600, 7199] and vdiff >= 0.5",
+    "camera in (cam-00, cam-03) and event = accident",
+    "theta >= 1.0",
+];
+
+/// Samples recorded so far by the span histogram `name`.
+fn span_count(name: &str) -> u64 {
+    tsvr_obs::snapshot()
+        .histograms
+        .iter()
+        .find(|h| h.name == name)
+        .map_or(0, |h| h.count)
+}
+
+fn ranking_bits(ranking: &[RankedWindow]) -> Vec<(u64, u64, u64)> {
+    ranking
+        .iter()
+        .map(|r| (r.clip_id, r.window_index, r.score.to_bits()))
+        .collect()
+}
+
+#[test]
+fn warm_served_plans_equal_cold_plans() {
+    let _reads = clip_reads();
+    let dir = std::env::temp_dir().join(format!("tsvr-serve-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Eight clips on four cameras over two hour-long buckets; the
+    // even-numbered ones carry a feature index, the rest are served
+    // from their bundles.
+    {
+        let prepared = [41, 42]
+            .map(|seed| prepare_clip(&Scenario::tunnel_small(seed), &PipelineOptions::default()));
+        let mut db = ShardedDb::open(&dir).unwrap();
+        for i in 0..8u64 {
+            let clip = &prepared[(i % 2) as usize];
+            let clip_id = i + 1;
+            let bundle = bundle_from_clip(
+                clip,
+                ClipMeta {
+                    clip_id,
+                    name: format!("clip {clip_id}"),
+                    location: "tunnel-x".into(),
+                    camera: format!("cam-0{}", i % 4),
+                    start_time: (i / 4) * 3600 + 60 * i,
+                    frame_count: 400,
+                    width: clip.sim.width,
+                    height: clip.sim.height,
+                },
+            );
+            db.put_clip(&bundle).unwrap();
+            if clip_id.is_multiple_of(2) {
+                let dataset = dataset_from_bundle(&bundle, WindowConfig::default());
+                build_index(db.routed_shard(clip_id).unwrap(), clip_id, &dataset).unwrap();
+            }
+        }
+        db.sync().unwrap();
+    }
+    let k = 20;
+    let cold: Vec<_> = {
+        let mut db = ShardedDb::open(&dir).unwrap();
+        CLASSES
+            .iter()
+            .map(|expr| {
+                let plan = Planner::new(k)
+                    .run(&mut db, &parse_query(expr).unwrap(), Scorer::Heuristic)
+                    .unwrap();
+                (ranking_bits(&plan.ranking), plan.stats)
+            })
+            .collect()
+    };
+    assert!(!cold[0].0.is_empty(), "the archive has windows to rank");
+
+    let service = Service::new(ShardedDb::open(&dir).unwrap(), ServiceConfig::default());
+    let loads = || {
+        (
+            span_count("viddb.load_clip"),
+            span_count("viddb.load_index"),
+        )
+    };
+    let mut after_first_pass = None;
+    for pass in 0..3 {
+        for (class, expr) in CLASSES.iter().enumerate() {
+            let resp = ask(
+                &service,
+                Request::Query {
+                    expr: expr.to_string(),
+                    k: Some(k),
+                },
+            );
+            let Response::QueryResult {
+                ranking,
+                stats,
+                degraded,
+            } = resp
+            else {
+                panic!("pass {pass} {expr:?}: {resp:?}")
+            };
+            assert_eq!(
+                ranking_bits(&ranking),
+                cold[class].0,
+                "pass {pass} {expr:?}: ranking"
+            );
+            assert_eq!(stats, cold[class].1, "pass {pass} {expr:?}: plan stats");
+            assert!(degraded.is_empty());
+            if class == 2 {
+                // A session on an index-served clip, between queries.
+                let Response::Opened { session_id, .. } = ask(
+                    &service,
+                    Request::Open {
+                        clip_id: 2,
+                        query: "accident".into(),
+                        learner: "ocsvm".into(),
+                    },
+                ) else {
+                    panic!("open failed")
+                };
+                let labels = vec![(0, true), (1, false)];
+                assert!(matches!(
+                    ask(&service, Request::Feedback { session_id, labels }),
+                    Response::Learned { round: 1, .. }
+                ));
+                ask(&service, Request::Close { session_id });
+            }
+        }
+        match after_first_pass {
+            None => after_first_pass = Some(loads()),
+            Some(first) => assert_eq!(loads(), first, "pass {pass} decoded clips again"),
+        }
+    }
+    if tsvr_obs::is_enabled() {
+        let (clips, indexes) = after_first_pass.unwrap();
+        assert!(clips > 0 && indexes > 0, "the first pass read the archive");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
