@@ -71,7 +71,14 @@ fn main() {
             clip_id: 1,
             bags: bags_from_dataset(dataset),
         }];
-        rank_topk(&[ShardWindows { shard: "-".into(), clips }], Scorer::Heuristic, TOP_K)
+        rank_topk(
+            &[ShardWindows {
+                shard: "-".into(),
+                clips,
+            }],
+            Scorer::Heuristic,
+            TOP_K,
+        )
     };
 
     let mut b = Bencher::new("index");

@@ -314,8 +314,7 @@ fn main() {
     tsvr_par::set_threads(many);
     let (_, rank_memo_n) = drive_rounds(make(), bags, &schedule);
     tsvr_par::set_threads(1);
-    let memo_identical =
-        rank_memo_1 == rank_fresh_1 && rank_memo_1 == rank_memo_n;
+    let memo_identical = rank_memo_1 == rank_fresh_1 && rank_memo_1 == rank_memo_n;
     if !memo_identical {
         eprintln!("IDENTITY FAIL (memo): rankings differ across memoization/threads");
     }

@@ -136,11 +136,20 @@ fn post_filtered_full_scan(db: &mut ShardedDb, filter: &RefFilter, k: usize) -> 
         })
         .collect();
     let total: usize = flat.iter().map(|c| c.bags.len()).sum();
-    let everything =
-        rank_topk(&[ShardWindows { shard: "all".into(), clips: flat }], Scorer::Heuristic, total);
+    let everything = rank_topk(
+        &[ShardWindows {
+            shard: "all".into(),
+            clips: flat,
+        }],
+        Scorer::Heuristic,
+        total,
+    );
     let mut kept = Vec::new();
     for r in everything {
-        let bundle = bundles.iter().find(|b| b.meta.clip_id == r.clip_id).unwrap();
+        let bundle = bundles
+            .iter()
+            .find(|b| b.meta.clip_id == r.clip_id)
+            .unwrap();
         if filter.admits(&bundle.meta, bundle, r.window_index) {
             kept.push(r);
             if kept.len() == k {
@@ -161,7 +170,9 @@ fn rankings_equal(a: &[RankedWindow], b: &[RankedWindow]) -> bool {
 }
 
 fn run_planned(db: &mut ShardedDb, query: &Query, k: usize) -> tsvr_core::PlanOutcome {
-    Planner::new(k).run(db, query, Scorer::Heuristic).expect("plan")
+    Planner::new(k)
+        .run(db, query, Scorer::Heuristic)
+        .expect("plan")
 }
 
 fn main() {
@@ -239,10 +250,7 @@ fn main() {
     let narrow_out = run_planned(&mut db, &narrow, k);
     let stats = narrow_out.stats;
     assert!(narrow_out.degraded.is_empty(), "healthy archive degraded");
-    eprintln!(
-        "broad plan: {:?}\nnarrow plan: {stats:?}",
-        broad_out.stats
-    );
+    eprintln!("broad plan: {:?}\nnarrow plan: {stats:?}", broad_out.stats);
 
     // ---- latency vs selectivity ----------------------------------------
     let mut b = Bencher::new("query");

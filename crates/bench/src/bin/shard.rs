@@ -130,10 +130,7 @@ fn bundle(clip_id: u64, camera: &str, start_time: u64) -> ClipBundle {
     }
 }
 
-fn rankings_equal(
-    a: &[tsvr_core::RankedWindow],
-    b: &[tsvr_core::RankedWindow],
-) -> bool {
+fn rankings_equal(a: &[tsvr_core::RankedWindow], b: &[tsvr_core::RankedWindow]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {
             x.clip_id == y.clip_id
@@ -179,28 +176,37 @@ fn main() {
     );
 
     // ---- byte-identity (the determinism acceptance bar) ----------------
-    let one_shard = [ShardWindows { shard: "all".into(), clips: flat }];
+    let one_shard = [ShardWindows {
+        shard: "all".into(),
+        clips: flat,
+    }];
     let single = rank_topk(&one_shard, Scorer::Heuristic, k);
     tsvr_par::set_threads(1);
     let ranked_1 = rank_topk(&shards, Scorer::Heuristic, k);
     tsvr_par::set_threads(many);
     let ranked_n = rank_topk(&shards, Scorer::Heuristic, k);
-    let byte_identical =
-        rankings_equal(&single, &ranked_1) && rankings_equal(&ranked_1, &ranked_n);
+    let byte_identical = rankings_equal(&single, &ranked_1) && rankings_equal(&ranked_1, &ranked_n);
 
     // ---- scatter-gather timing -----------------------------------------
     let mut b = Bencher::new("shard");
     tsvr_par::set_threads(1);
     let q1 = b
-        .bench("sharded_topk/threads_1", || rank_topk(&shards, Scorer::Heuristic, k))
+        .bench("sharded_topk/threads_1", || {
+            rank_topk(&shards, Scorer::Heuristic, k)
+        })
         .ns_per_iter;
     tsvr_par::set_threads(many);
     let qn = b
-        .bench("sharded_topk/threads_n", || rank_topk(&shards, Scorer::Heuristic, k))
+        .bench("sharded_topk/threads_n", || {
+            rank_topk(&shards, Scorer::Heuristic, k)
+        })
         .ns_per_iter;
     tsvr_par::set_threads(0); // restore env/auto selection
     let speedup = q1 / qn;
-    println!("sharded top-{k}: {speedup:.2}x with {many} threads over {} shards", shards.len());
+    println!(
+        "sharded top-{k}: {speedup:.2}x with {many} threads over {} shards",
+        shards.len()
+    );
 
     // ---- compression ratio ---------------------------------------------
     let (mut raw_bytes, mut packed_bytes) = (0usize, 0usize);

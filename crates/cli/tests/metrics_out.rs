@@ -34,7 +34,10 @@ fn tsvr(dir: &Path, tag: &str, args: &[&str]) -> Snapshot {
 }
 
 fn counter(snap: &Snapshot, name: &str) -> Option<u64> {
-    snap.counters.iter().find(|c| c.name == name).map(|c| c.value)
+    snap.counters
+        .iter()
+        .find(|c| c.name == name)
+        .map(|c| c.value)
 }
 
 fn samples(snap: &Snapshot, name: &str) -> Option<u64> {
@@ -53,12 +56,24 @@ fn query_and_resume_record_the_protocol_metrics_and_one_index_load() {
     tsvr(
         &dir,
         "simulate",
-        &[&["simulate", "--scenario", "tunnel-small", "--frames", "150"], &clip[..]].concat(),
+        &[
+            &["simulate", "--scenario", "tunnel-small", "--frames", "150"],
+            &clip[..],
+        ]
+        .concat(),
     );
     let page = ["--top", "5"];
 
-    let query = tsvr(&dir, "query", &[&["query", "--rounds", "2"], &clip[..], &page].concat());
-    let resume = tsvr(&dir, "resume", &[&["resume", "--rounds", "1"], &clip[..], &page].concat());
+    let query = tsvr(
+        &dir,
+        "query",
+        &[&["query", "--rounds", "2"], &clip[..], &page].concat(),
+    );
+    let resume = tsvr(
+        &dir,
+        "resume",
+        &[&["resume", "--rounds", "1"], &clip[..], &page].concat(),
+    );
     tsvr(&dir, "build", &["index", "build", "--db", db]);
     let indexed = tsvr(
         &dir,

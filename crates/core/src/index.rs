@@ -94,8 +94,7 @@ pub fn segment_from_dataset(clip_id: u64, dataset: &Dataset) -> IndexSegment {
         .windows
         .iter()
         .map(|w| IndexWindowRow {
-            window_index: u32::try_from(w.index)
-                .expect("window index exceeds on-disk u32 range"),
+            window_index: u32::try_from(w.index).expect("window index exceeds on-disk u32 range"),
             start_checkpoint: w.start_checkpoint as u64,
             start_frame: w.start_frame,
             end_frame: w.end_frame,
@@ -352,8 +351,14 @@ mod tests {
             for (x, y) in a.sequences.iter().zip(&b.sequences) {
                 assert_eq!(x.track_id, y.track_id);
                 assert_eq!(
-                    x.feature_vector().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    y.feature_vector().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                    x.feature_vector()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>(),
+                    y.feature_vector()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
                 );
             }
         }

@@ -37,8 +37,7 @@ pub fn bundle_from_clip(clip: &ClipArtifacts, meta: ClipMeta) -> ClipBundle {
         .windows
         .iter()
         .map(|w| WindowRow {
-            window_index: u32::try_from(w.index)
-                .expect("window index exceeds on-disk u32 range"),
+            window_index: u32::try_from(w.index).expect("window index exceeds on-disk u32 range"),
             // The on-disk row keeps its u32 encoding (golden-fixture
             // compatible); clip frame counts are u32 in `ClipMeta`, so
             // any in-range clip fits — a span past u32 is a caller bug.

@@ -474,8 +474,7 @@ fn lex(src: &str) -> Result<Vec<(usize, Tok)>, QueryError> {
                 while i < bytes.len()
                     && (bytes[i].is_ascii_digit()
                         || matches!(bytes[i], b'.' | b'e' | b'E')
-                        || (matches!(bytes[i], b'+' | b'-')
-                            && matches!(bytes[i - 1], b'e' | b'E')))
+                        || (matches!(bytes[i], b'+' | b'-') && matches!(bytes[i - 1], b'e' | b'E')))
                 {
                     i += 1;
                 }
@@ -616,7 +615,8 @@ impl Parser {
             Some((at, Tok::Num(s))) => {
                 let (at, s) = (*at, s.clone());
                 self.i += 1;
-                s.parse::<u64>().map_err(|_| QueryError::BadNumber { at, text: s })
+                s.parse::<u64>()
+                    .map_err(|_| QueryError::BadNumber { at, text: s })
             }
             _ => Err(self.unexpected("an integer (epoch seconds)")),
         }
@@ -639,10 +639,7 @@ impl Parser {
                     QueryError::UnknownName {
                         what: "vehicle class",
                         given: name,
-                        suggestions: nearest_names(
-                            &lowered,
-                            &VehicleClass::ALL.map(|c| c.name()),
-                        ),
+                        suggestions: nearest_names(&lowered, &VehicleClass::ALL.map(|c| c.name())),
                     },
                 )
             }
@@ -811,11 +808,12 @@ impl ClassRoster {
     }
 
     /// Records one clip's track classes.
-    pub fn add_clip(&mut self, clip_id: u64, classes: impl IntoIterator<Item = (u64, VehicleClass)>) {
-        self.by_clip
-            .entry(clip_id)
-            .or_default()
-            .extend(classes);
+    pub fn add_clip(
+        &mut self,
+        clip_id: u64,
+        classes: impl IntoIterator<Item = (u64, VehicleClass)>,
+    ) {
+        self.by_clip.entry(clip_id).or_default().extend(classes);
     }
 
     /// The class of `track_id` in `clip_id`, if known.
@@ -861,7 +859,10 @@ pub fn classify_tracks(tracks: &[Track]) -> Vec<(u64, VehicleClass)> {
         }
     }
     let clf = PcaClassifier::train(&training, 3).expect("non-empty synthetic training set");
-    tracks.iter().map(|t| (t.id, clf.classify(&t.stats))).collect()
+    tracks
+        .iter()
+        .map(|t| (t.id, clf.classify(&t.stats)))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1057,8 +1058,7 @@ impl<'a> Planner<'a> {
                 admitted.push((view, windows));
             }
         }
-        tsvr_obs::counter!("query.plan.windows_prefiltered")
-            .add(stats.windows_prefiltered as u64);
+        tsvr_obs::counter!("query.plan.windows_prefiltered").add(stats.windows_prefiltered as u64);
         tsvr_obs::counter!("query.plan.windows_ranked").add(stats.windows_ranked as u64);
 
         // Stage 3: MIL ranking over survivors, their bags borrowed from
@@ -1276,9 +1276,9 @@ impl<'q> Compiled<'q> {
             .flat_map(|ts| ts.alphas.iter().map(|a| a.as_array()));
         for clause in &self.features {
             let any = match clause {
-                Clause::Feature { field, op, value } => alphas
-                    .clone()
-                    .any(|a| op.eval(a[field.lane()], *value)),
+                Clause::Feature { field, op, value } => {
+                    alphas.clone().any(|a| op.eval(a[field.lane()], *value))
+                }
                 Clause::FeatureIn { field, lo, hi } => alphas
                     .clone()
                     .any(|a| a[field.lane()] >= *lo && a[field.lane()] <= *hi),
@@ -1415,7 +1415,10 @@ mod tests {
             let q = parse(src).unwrap();
             let rendered = q.to_string();
             let back = parse(&rendered).unwrap();
-            assert_eq!(q, back, "display round trip failed for {src:?} → {rendered:?}");
+            assert_eq!(
+                q, back,
+                "display round trip failed for {src:?} → {rendered:?}"
+            );
         }
     }
 
@@ -1434,7 +1437,9 @@ mod tests {
             other => panic!("expected UnknownName, got {other:?}"),
         }
         match parse("vdif >= 1") {
-            Err(QueryError::UnknownName { what, suggestions, .. }) => {
+            Err(QueryError::UnknownName {
+                what, suggestions, ..
+            }) => {
                 assert_eq!(what, "clause");
                 assert_eq!(suggestions.first().copied(), Some("vdiff"));
             }
@@ -1478,10 +1483,9 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let alphabet: Vec<char> =
-            "abcdefghijklmnopqrstuvwxyz0123456789_-.,<>=[]() \"\u{1F695}éand"
-                .chars()
-                .collect();
+        let alphabet: Vec<char> = "abcdefghijklmnopqrstuvwxyz0123456789_-.,<>=[]() \"\u{1F695}éand"
+            .chars()
+            .collect();
         for _ in 0..2000 {
             let len = (next() % 40) as usize;
             let s: String = (0..len)
@@ -1508,7 +1512,12 @@ mod tests {
         let c = Compiled::from_query(&q);
         assert_eq!(c.time_bounds(), (100, 200));
         assert_eq!(
-            c.cameras.as_ref().unwrap().iter().copied().collect::<Vec<_>>(),
+            c.cameras
+                .as_ref()
+                .unwrap()
+                .iter()
+                .copied()
+                .collect::<Vec<_>>(),
             vec!["b"]
         );
         // Disjoint camera sets admit nothing.
@@ -1580,7 +1589,12 @@ mod tests {
             },
         };
         // Relevant window → degraded with the reason.
-        let q = parse(&format!("time in [{}, {}]", 5 * bucket_secs, 6 * bucket_secs)).unwrap();
+        let q = parse(&format!(
+            "time in [{}, {}]",
+            5 * bucket_secs,
+            6 * bucket_secs
+        ))
+        .unwrap();
         match route_decision(&route, bucket_secs, &Compiled::from_query(&q)) {
             RouteDecision::Degraded(reason) => assert_eq!(reason, "bad magic"),
             _ => panic!("relevant quarantined route not degraded"),

@@ -276,9 +276,15 @@ mod tests {
 
     #[test]
     fn query_names_round_trip_through_from_name() {
-        assert_eq!(EventQuery::from_name("accident"), Ok(EventQuery::accidents()));
+        assert_eq!(
+            EventQuery::from_name("accident"),
+            Ok(EventQuery::accidents())
+        );
         assert_eq!(EventQuery::from_name("u_turn"), Ok(EventQuery::u_turns()));
-        assert_eq!(EventQuery::from_name("speeding"), Ok(EventQuery::speeding()));
+        assert_eq!(
+            EventQuery::from_name("speeding"),
+            Ok(EventQuery::speeding())
+        );
         assert!(EventQuery::from_name("warp_drive").is_err());
         // Every incident kind — including the fleet kinds — is queryable
         // by name, and the query is the single-kind query.
@@ -295,9 +301,18 @@ mod tests {
 
     #[test]
     fn from_name_normalizes_case_space_and_hyphens() {
-        assert_eq!(EventQuery::from_name("  Accident "), Ok(EventQuery::accidents()));
-        assert_eq!(EventQuery::from_name("Wrong-Way"), Ok(EventQuery::for_kind(IncidentKind::WrongWay)));
-        assert_eq!(EventQuery::from_name("sudden stop"), Ok(EventQuery::for_kind(IncidentKind::SuddenStop)));
+        assert_eq!(
+            EventQuery::from_name("  Accident "),
+            Ok(EventQuery::accidents())
+        );
+        assert_eq!(
+            EventQuery::from_name("Wrong-Way"),
+            Ok(EventQuery::for_kind(IncidentKind::WrongWay))
+        );
+        assert_eq!(
+            EventQuery::from_name("sudden stop"),
+            Ok(EventQuery::for_kind(IncidentKind::SuddenStop))
+        );
     }
 
     #[test]
@@ -306,7 +321,10 @@ mod tests {
         assert_eq!(err.given, "acident");
         assert_eq!(err.suggestions.first().copied(), Some("accident"));
         let msg = err.to_string();
-        assert!(msg.contains("acident") && msg.contains("did you mean"), "{msg}");
+        assert!(
+            msg.contains("acident") && msg.contains("did you mean"),
+            "{msg}"
+        );
         // A name nothing resembles still errors (suggestions may be
         // empty or distant, but never panic).
         assert!(EventQuery::from_name("zzzzzzzzzzzzzzzzzzzz").is_err());
@@ -383,8 +401,16 @@ mod tests {
         for &(s, c, w) in &entries {
             b.push(s, c, w);
         }
-        let ka: Vec<(u64, u64)> = a.into_sorted().iter().map(|r| (r.clip_id, r.window_index)).collect();
-        let kb: Vec<(u64, u64)> = b.into_sorted().iter().map(|r| (r.clip_id, r.window_index)).collect();
+        let ka: Vec<(u64, u64)> = a
+            .into_sorted()
+            .iter()
+            .map(|r| (r.clip_id, r.window_index))
+            .collect();
+        let kb: Vec<(u64, u64)> = b
+            .into_sorted()
+            .iter()
+            .map(|r| (r.clip_id, r.window_index))
+            .collect();
         assert_eq!(ka, kb);
     }
 

@@ -16,8 +16,8 @@
 use std::path::PathBuf;
 use tsvr_core::{
     bags_from_dataset, build_index, bundle_from_clip, dataset_from_bundle, parse_query,
-    prepare_clip, rank_topk, segment_from_dataset, Clause, ClipWindows, Cmp, EventQuery, FeatureField,
-    PipelineOptions, Planner, Query, RankedWindow, Scorer, ShardWindows, NOMINAL_FPS,
+    prepare_clip, rank_topk, segment_from_dataset, Clause, ClipWindows, Cmp, EventQuery,
+    FeatureField, PipelineOptions, Planner, Query, RankedWindow, Scorer, ShardWindows, NOMINAL_FPS,
 };
 use tsvr_sim::check;
 use tsvr_sim::{Pcg32, Scenario, VehicleClass};
@@ -77,8 +77,12 @@ fn build_archive(tag: &str) -> Archive {
             db.put_clip(&bundle).expect("put_clip");
             if clip_id.is_multiple_of(2) {
                 let dataset = dataset_from_bundle(&bundle, WindowConfig::default());
-                build_index(db.shard_for_clip_mut(clip_id).expect("shard"), clip_id, &dataset)
-                    .expect("build_index");
+                build_index(
+                    db.shard_for_clip_mut(clip_id).expect("shard"),
+                    clip_id,
+                    &dataset,
+                )
+                .expect("build_index");
             }
         }
         metas.push(meta);
@@ -94,7 +98,10 @@ fn build_archive(tag: &str) -> Archive {
         .collect();
     let total: usize = flat.iter().map(|c| c.bags.len()).sum();
     let full_ranking = rank_topk(
-        &[ShardWindows { shard: "all".into(), clips: flat }],
+        &[ShardWindows {
+            shard: "all".into(),
+            clips: flat,
+        }],
         Scorer::Heuristic,
         total,
     );
@@ -165,7 +172,12 @@ fn reference_topk(archive: &Archive, query: &Query, k: usize) -> Vec<RankedWindo
     let mut kept = Vec::new();
     for r in &archive.full_ranking {
         let idx = (r.clip_id - 1) as usize;
-        if reference_admits(query, &archive.metas[idx], &archive.bundles[idx], r.window_index) {
+        if reference_admits(
+            query,
+            &archive.metas[idx],
+            &archive.bundles[idx],
+            r.window_index,
+        ) {
             kept.push(*r);
             if kept.len() == k {
                 break;
@@ -285,7 +297,11 @@ fn planner_equals_post_filtered_full_scan() {
                 .run(&mut archive.single, &query, Scorer::Heuristic)
                 .expect("plan single-file");
             assert!(single.degraded.is_empty(), "healthy single file degraded");
-            assert_same_ranking(&single.ranking, &out.ranking, &format!("{ctx} (single file)"));
+            assert_same_ranking(
+                &single.ranking,
+                &out.ranking,
+                &format!("{ctx} (single file)"),
+            );
             // Sanity on the receipt: counters must add up.
             for s in [out.stats, single.stats] {
                 assert_eq!(
@@ -313,8 +329,12 @@ fn index_path_and_bundle_path_plan_identically() {
             db.put_clip(bundle).expect("put_clip");
         }
         let dataset = dataset_from_bundle(bundle, WindowConfig::default());
-        build_index(indexed.shard_for_clip_mut(clip_id).expect("shard"), clip_id, &dataset)
-            .expect("build_index");
+        build_index(
+            indexed.shard_for_clip_mut(clip_id).expect("shard"),
+            clip_id,
+            &dataset,
+        )
+        .expect("build_index");
     }
     check::cases(48, |case, rng| {
         let query = random_query(rng);
@@ -327,7 +347,10 @@ fn index_path_and_bundle_path_plan_identically() {
             .run(&mut bundled, &query, Scorer::Heuristic)
             .expect("plan bundled");
         assert_same_ranking(&from_index.ranking, &from_bundle.ranking, &ctx);
-        assert_eq!(from_index.stats, from_bundle.stats, "{ctx}: plan stats differ");
+        assert_eq!(
+            from_index.stats, from_bundle.stats,
+            "{ctx}: plan stats differ"
+        );
     });
 }
 
@@ -366,9 +389,16 @@ fn stale_segment_is_skipped_and_counted_as_stale() {
     let out = Planner::new(5)
         .run(&mut archive.db, &everything, Scorer::Heuristic)
         .expect("plan");
-    assert_same_ranking(&out.ranking, &reference_topk(&archive, &everything, 5), "no clauses");
+    assert_same_ranking(
+        &out.ranking,
+        &reference_topk(&archive, &everything, 5),
+        "no clauses",
+    );
     if tsvr_obs::is_enabled() {
-        assert!(stale_count() > before, "stale segment not counted as index.stale");
+        assert!(
+            stale_count() > before,
+            "stale segment not counted as index.stale"
+        );
     }
 }
 
@@ -428,8 +458,8 @@ fn random_ast(rng: &mut Pcg32) -> Query {
     for _ in 0..n {
         clauses.push(match rng.uniform_u32(6) {
             0 => {
-                let name = ["accident", "wall_crash", "sudden_stop", "breakdown"]
-                    [rng.uniform_usize(4)];
+                let name =
+                    ["accident", "wall_crash", "sudden_stop", "breakdown"][rng.uniform_usize(4)];
                 match EventQuery::from_name(name) {
                     Ok(ev) => Clause::Event(ev),
                     Err(_) => continue,
@@ -461,16 +491,22 @@ fn random_ast(rng: &mut Pcg32) -> Query {
                 }
             }
             4 => Clause::Feature {
-                field: [FeatureField::InvMdist, FeatureField::Vdiff, FeatureField::Theta]
-                    [rng.uniform_usize(3)],
+                field: [
+                    FeatureField::InvMdist,
+                    FeatureField::Vdiff,
+                    FeatureField::Theta,
+                ][rng.uniform_usize(3)],
                 op: [Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge][rng.uniform_usize(4)],
                 value: rng.uniform(0.0, 10.0),
             },
             _ => {
                 let lo = rng.uniform(0.0, 5.0);
                 Clause::FeatureIn {
-                    field: [FeatureField::InvMdist, FeatureField::Vdiff, FeatureField::Theta]
-                        [rng.uniform_usize(3)],
+                    field: [
+                        FeatureField::InvMdist,
+                        FeatureField::Vdiff,
+                        FeatureField::Theta,
+                    ][rng.uniform_usize(3)],
                     lo,
                     hi: lo + rng.uniform(0.0, 5.0),
                 }

@@ -1,13 +1,13 @@
 //! Property-based tests for the numerical kernels, driven by the
 //! in-tree seeded harness (`tsvr_sim::check`).
 
-use tsvr_sim::check::{self, vec_f64};
-use tsvr_sim::Pcg32;
 use tsvr_linalg::decomp::{solve, solve_least_squares, Cholesky, Lu};
 use tsvr_linalg::eigen::symmetric_eigen;
 use tsvr_linalg::polyfit;
 use tsvr_linalg::stats::{covariance_matrix, MinMaxScaler};
 use tsvr_linalg::{vecops, Matrix};
+use tsvr_sim::check::{self, vec_f64};
+use tsvr_sim::Pcg32;
 
 /// A well-conditioned square matrix: random entries plus a large
 /// diagonal boost (diagonally dominant).

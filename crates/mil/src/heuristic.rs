@@ -16,10 +16,7 @@ use crate::bag::{Bag, Instance};
 /// one corrupt feature must not poison the whole ranking, and a point
 /// score is always finite.
 pub fn point_score(row: &[f64]) -> f64 {
-    row.iter()
-        .filter(|x| x.is_finite())
-        .map(|x| x * x)
-        .sum()
+    row.iter().filter(|x| x.is_finite()).map(|x| x * x).sum()
 }
 
 /// Score of a trajectory sequence: its best sampling point.
@@ -155,7 +152,10 @@ mod tests {
         let s = instance_score(&poisoned);
         assert!(s.is_finite(), "poisoned instance score {s}");
         assert!((point_score(&[f64::NAN, 0.2, 0.1]) - 0.05).abs() < 1e-12);
-        assert_eq!(point_score(&[f64::INFINITY, f64::NEG_INFINITY, f64::NAN]), 0.0);
+        assert_eq!(
+            point_score(&[f64::INFINITY, f64::NEG_INFINITY, f64::NAN]),
+            0.0
+        );
 
         let b = Bag::new(0, vec![poisoned, hot(), quiet()]);
         assert!(bag_score(&b).is_finite());

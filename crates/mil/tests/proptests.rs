@@ -15,7 +15,9 @@ fn bag_db(rng: &mut Pcg32) -> Vec<Bag> {
             let instances = (0..n_instances)
                 .map(|k| {
                     let n_rows = check::len_in(rng, 1, 4);
-                    let rows = (0..n_rows).map(|_| check::vec_f64(rng, 3, 0.0, 1.0)).collect();
+                    let rows = (0..n_rows)
+                        .map(|_| check::vec_f64(rng, 3, 0.0, 1.0))
+                        .collect();
                     Instance::new(k as u64, rows)
                 })
                 .collect();
@@ -72,7 +74,9 @@ fn heuristic_bag_score_equals_best_instance() {
 fn instance_score_monotone_under_scaling() {
     check::cases(128, |case, rng| {
         let n_rows = check::len_in(rng, 1, 5);
-        let rows: Vec<Vec<f64>> = (0..n_rows).map(|_| check::vec_f64(rng, 3, 0.0, 1.0)).collect();
+        let rows: Vec<Vec<f64>> = (0..n_rows)
+            .map(|_| check::vec_f64(rng, 3, 0.0, 1.0))
+            .collect();
         let k = rng.uniform(1.0, 3.0);
         let a = Instance::new(0, rows.clone());
         let scaled = Instance::new(
@@ -181,11 +185,17 @@ fn accuracy_bounds_and_consistency() {
             "case {case}: above ceiling"
         );
         let recall = metrics::recall_at(&ranking, &labels, n);
-        assert!((0.0..=1.0).contains(&recall), "case {case}: recall {recall}");
+        assert!(
+            (0.0..=1.0).contains(&recall),
+            "case {case}: recall {recall}"
+        );
         // Full-length recall is 1 when any relevant exist.
         let full = metrics::recall_at(&ranking, &labels, labels.len());
         if labels.iter().any(|&l| l) {
-            assert!((full - 1.0).abs() < 1e-12, "case {case}: full recall {full}");
+            assert!(
+                (full - 1.0).abs() < 1e-12,
+                "case {case}: full recall {full}"
+            );
         } else {
             assert_eq!(full, 0.0, "case {case}");
         }

@@ -36,7 +36,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "json parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 

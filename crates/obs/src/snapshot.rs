@@ -207,7 +207,11 @@ impl Snapshot {
                     .and_then(Json::as_str)
                     .ok_or_else(|| bad("histogram missing 'name'"))?
                     .to_string(),
-                unit: h.get("unit").and_then(Json::as_str).unwrap_or("count").to_string(),
+                unit: h
+                    .get("unit")
+                    .and_then(Json::as_str)
+                    .unwrap_or("count")
+                    .to_string(),
                 count: field(h, "count")?,
                 sum: field(h, "sum")?,
                 min: field(h, "min")?,

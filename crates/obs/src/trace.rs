@@ -225,7 +225,12 @@ impl FinishedTrace {
     /// children ordered by start time under their parent, incidents
     /// flagged with `!`.
     pub fn render_tree(&self) -> String {
-        let mut out = format!("trace {} {} ({})\n", self.trace, self.name, fmt_ns(self.dur_ns));
+        let mut out = format!(
+            "trace {} {} ({})\n",
+            self.trace,
+            self.name,
+            fmt_ns(self.dur_ns)
+        );
         // Events arrive in completion order; index children by parent
         // span id and walk the tree from the root(s) by start time.
         let mut order: Vec<usize> = (0..self.events.len()).collect();
@@ -242,7 +247,11 @@ impl FinishedTrace {
             let e = &self.events[i];
             // Treat an unknown parent (span lost to the event cap) as a
             // root so the event still shows up.
-            let parent = if span_ids.contains(&e.parent) { e.parent } else { 0 };
+            let parent = if span_ids.contains(&e.parent) {
+                e.parent
+            } else {
+                0
+            };
             children.entry(parent).or_default().push(i);
         }
         // Wire data can carry adversarial parent links (an event that is
@@ -381,9 +390,9 @@ pub const SLOWLOG_CAP: usize = 64;
 
 #[cfg(feature = "enabled")]
 mod live {
+    use std::borrow::Cow;
     use std::cell::Cell;
     use std::collections::{HashMap, VecDeque};
-    use std::borrow::Cow;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -698,7 +707,10 @@ mod live {
         let events = tracer().recorder.events();
         let trace = current().map_or(0, |c| c.trace);
         let header = crate::json::Json::Obj(vec![
-            ("schema".into(), crate::json::Json::Str("tsvr-flight/1".into())),
+            (
+                "schema".into(),
+                crate::json::Json::Str("tsvr-flight/1".into()),
+            ),
             ("reason".into(), crate::json::Json::Str(reason.into())),
             ("trace".into(), crate::json::Json::Num(trace as f64)),
             ("events".into(), crate::json::Json::Num(events.len() as f64)),
@@ -919,7 +931,10 @@ mod tests {
             trace: 3,
             name: "serve.latency.page".into(),
             dur_ns: 900,
-            events: vec![ev(1, 3, 2, 1, "mil.round"), ev(2, 3, 1, 0, "serve.latency.page")],
+            events: vec![
+                ev(1, 3, 2, 1, "mil.round"),
+                ev(2, 3, 1, 0, "serve.latency.page"),
+            ],
             dropped: 0,
         };
         let back = FinishedTrace::from_json_value(&t.to_json_value()).unwrap();

@@ -415,7 +415,11 @@ mod enabled {
             // Untorn: every field agrees with the writer/iteration that
             // produced it.
             assert_eq!(e.name, format!("writer{}", e.trace - 1), "torn event {e:?}");
-            assert_eq!(e.detail, format!("{}:{}", e.trace, e.span), "torn event {e:?}");
+            assert_eq!(
+                e.detail,
+                format!("{}:{}", e.trace, e.span),
+                "torn event {e:?}"
+            );
             assert_eq!(e.start_ns, e.trace * 1_000_000 + e.span, "torn event {e:?}");
             assert_eq!(e.dur_ns, e.span, "torn event {e:?}");
             // Order within a trace: each writer recorded its spans in
@@ -528,15 +532,14 @@ mod enabled {
             "incident hangs off the span live when it fired"
         );
         // Root exceeded the zero threshold, so the slowlog kept it.
-        assert!(tsvr_obs::trace::slowlog().iter().any(|s| s.trace == t.trace));
+        assert!(tsvr_obs::trace::slowlog()
+            .iter()
+            .any(|s| s.trace == t.trace));
         // The flight recorder holds the same events.
         let recorded = tsvr_obs::trace::recorder_events();
         assert!(recorded.iter().any(|e| e.name == "test.trace.boom"));
         // The labeled incident counter ticked.
-        assert_eq!(
-            value_of(&snapshot(), "obs.incident{test.trace.boom}"),
-            1
-        );
+        assert_eq!(value_of(&snapshot(), "obs.incident{test.trace.boom}"), 1);
     }
 
     #[test]

@@ -325,7 +325,9 @@ where
                     let hi = (lo + chunk).min(n);
                     let out: Vec<R> = (lo..hi).map(&f).collect();
                     record_chunk(fork, picked, Instant::now());
-                    done.lock().unwrap_or_else(|e| e.into_inner()).push((c, out));
+                    done.lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .push((c, out));
                 }
             });
         }

@@ -32,8 +32,8 @@ pub mod server;
 pub mod service;
 
 pub use proto::{
-    decode_request, decode_response, encode_request, encode_response, Envelope, ErrorKind,
-    Request, Response, ServeError, SessionSummary,
+    decode_request, decode_response, encode_request, encode_response, Envelope, ErrorKind, Request,
+    Response, ServeError, SessionSummary,
 };
 pub use server::{Server, ServerConfig};
 pub use service::{Service, ServiceConfig};
@@ -49,7 +49,10 @@ mod tests {
     fn seeded_db(clip_ids: &[u64]) -> VideoDb {
         let mut db = VideoDb::in_memory();
         for &id in clip_ids {
-            let clip = prepare_clip(&Scenario::tunnel_small(60 + id), &PipelineOptions::default());
+            let clip = prepare_clip(
+                &Scenario::tunnel_small(60 + id),
+                &PipelineOptions::default(),
+            );
             let meta = ClipMeta {
                 clip_id: id,
                 name: format!("clip {id}"),
@@ -170,8 +173,10 @@ mod tests {
             for (id, camera, start_time) in
                 [(1, "cam-a", 0u64), (2, "cam-b", 0), (3, "cam-b", 7200)]
             {
-                let clip =
-                    prepare_clip(&Scenario::tunnel_small(60 + id), &PipelineOptions::default());
+                let clip = prepare_clip(
+                    &Scenario::tunnel_small(60 + id),
+                    &PipelineOptions::default(),
+                );
                 let meta = ClipMeta {
                     clip_id: id,
                     name: format!("clip {id}"),
@@ -203,7 +208,8 @@ mod tests {
                 expr: "camera = cam-a".into(),
                 k: Some(5),
             },
-        ) else {
+        )
+        else {
             panic!("query failed")
         };
         assert!(!ranking.is_empty());
@@ -220,7 +226,8 @@ mod tests {
                 expr: "camera = cam-b and time >= 7200".into(),
                 k: Some(5),
             },
-        ) else {
+        )
+        else {
             panic!("query failed")
         };
         assert!(ranking.is_empty());
@@ -400,7 +407,13 @@ mod tests {
         match service.handle(&env) {
             Response::Opened { session_id, .. } => {
                 assert!(matches!(
-                    ask(&service, Request::Page { session_id, n: None }),
+                    ask(
+                        &service,
+                        Request::Page {
+                            session_id,
+                            n: None
+                        }
+                    ),
                     Response::Page { .. }
                 ));
             }
@@ -543,7 +556,9 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(100));
         let refused = std::net::TcpStream::connect(addr).unwrap();
         let mut line = String::new();
-        std::io::BufReader::new(refused).read_line(&mut line).unwrap();
+        std::io::BufReader::new(refused)
+            .read_line(&mut line)
+            .unwrap();
         match decode_response(&line).unwrap() {
             Response::Error(e) => assert_eq!(e.kind, ErrorKind::Overloaded),
             other => panic!("expected overloaded, got {other:?}"),

@@ -448,9 +448,10 @@ pub fn decode_request(line: &str) -> Result<Envelope, String> {
                 .ok_or("missing array field \"labels\"")?;
             let mut parsed = Vec::with_capacity(labels.len());
             for l in labels {
-                let pair = l.as_arr().filter(|p| p.len() == 2).ok_or(
-                    "each label must be a [window, relevant] pair, e.g. [12, true]",
-                )?;
+                let pair = l
+                    .as_arr()
+                    .filter(|p| p.len() == 2)
+                    .ok_or("each label must be a [window, relevant] pair, e.g. [12, true]")?;
                 let w = pair[0]
                     .as_u64()
                     .filter(|&w| w <= u64::from(u32::MAX))
@@ -537,7 +538,10 @@ pub fn encode_response(resp: &Response) -> String {
             ("ok", Json::Str("page".into())),
             ("session_id", num(*session_id)),
             ("round", num(*round as u64)),
-            ("ranking", Json::Arr(ranking.iter().map(|&w| num(w)).collect())),
+            (
+                "ranking",
+                Json::Arr(ranking.iter().map(|&w| num(w)).collect()),
+            ),
         ]),
         Response::Learned { session_id, round } => obj(vec![
             ("ok", Json::Str("learned".into())),
@@ -658,7 +662,8 @@ pub fn encode_response(resp: &Response) -> String {
 pub fn decode_response(line: &str) -> Result<Response, String> {
     let v = Json::parse(line.trim()).map_err(|e| e.to_string())?;
     if let Some(kind) = v.get("error").and_then(Json::as_str) {
-        let kind = ErrorKind::from_wire(kind).ok_or_else(|| format!("unknown error kind {kind:?}"))?;
+        let kind =
+            ErrorKind::from_wire(kind).ok_or_else(|| format!("unknown error kind {kind:?}"))?;
         return Ok(Response::Error(
             ServeError::new(kind, v.get("message").and_then(Json::as_str).unwrap_or(""))
                 .with_trace(v.get("trace").and_then(Json::as_u64)),
@@ -708,17 +713,13 @@ pub fn decode_response(line: &str) -> Result<Response, String> {
                         .ok_or("each hit must be a [clip, window, score] triple")?;
                     Ok(RankedWindow {
                         clip_id: parts[0].as_u64().ok_or("hit clip must be an integer")?,
-                        window_index: parts[1]
-                            .as_u64()
-                            .ok_or("hit window must be an integer")?,
+                        window_index: parts[1].as_u64().ok_or("hit window must be an integer")?,
                         score: parts[2].as_f64().ok_or("hit score must be a number")?,
                     })
                 })
                 .collect::<Result<_, String>>()?;
             let plan = v.get("plan").ok_or("missing object field \"plan\"")?;
-            let stat = |key: &str| -> Result<usize, String> {
-                Ok(field_u64(plan, key)? as usize)
-            };
+            let stat = |key: &str| -> Result<usize, String> { Ok(field_u64(plan, key)? as usize) };
             let stats = PlanStats {
                 shards_total: stat("shards_total")?,
                 shards_pruned: stat("shards_pruned")?,
@@ -786,7 +787,8 @@ pub fn decode_response(line: &str) -> Result<Response, String> {
         "pong" => Response::Pong,
         "stats" => Response::Stats {
             snapshot: Snapshot::from_json_value(
-                v.get("snapshot").ok_or("missing object field \"snapshot\"")?,
+                v.get("snapshot")
+                    .ok_or("missing object field \"snapshot\"")?,
             )
             .map_err(|e| format!("bad snapshot: {e}"))?,
         },

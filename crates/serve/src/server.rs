@@ -99,11 +99,7 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts the accept thread
     /// plus the worker pool.
-    pub fn start(
-        service: Arc<Service>,
-        addr: &str,
-        cfg: ServerConfig,
-    ) -> std::io::Result<Server> {
+    pub fn start(service: Arc<Service>, addr: &str, cfg: ServerConfig) -> std::io::Result<Server> {
         assert!(cfg.workers >= 1, "server needs at least one worker");
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -253,8 +249,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             match (&mut reader).take(budget).read_until(b'\n', &mut line) {
                 Ok(n) => break n,
                 Err(e)
-                    if e.kind() == IoErrorKind::WouldBlock
-                        || e.kind() == IoErrorKind::TimedOut =>
+                    if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut =>
                 {
                     if shared.stopping() {
                         return;

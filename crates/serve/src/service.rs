@@ -319,8 +319,7 @@ impl Service {
         let session_id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let opened = self.install(Session::open(session_id, clip_id, query, kind, bags));
         tsvr_obs::counter!("serve.sessions.opened").incr();
-        tsvr_obs::counter_labeled("serve.sessions.opened", &format!("session={session_id}"))
-            .incr();
+        tsvr_obs::counter_labeled("serve.sessions.opened", &format!("session={session_id}")).incr();
         Ok(opened)
     }
 
@@ -338,12 +337,14 @@ impl Service {
             .unwrap()
             .sessions_for_clip(clip_id)
             .map_err(|e| db_err(&e))?;
-        let row = latest_checkpoints(rows).remove(&session_id).ok_or_else(|| {
-            err(
-                ErrorKind::NotFound,
-                format!("no stored session {session_id} for clip {clip_id}"),
-            )
-        })?;
+        let row = latest_checkpoints(rows)
+            .remove(&session_id)
+            .ok_or_else(|| {
+                err(
+                    ErrorKind::NotFound,
+                    format!("no stored session {session_id} for clip {clip_id}"),
+                )
+            })?;
         // No learner named: the one the stored row names.
         let kind = learner.map(learner_kind).transpose()?;
         let bags = Arc::clone(self.clip_view(clip_id)?.bags());
@@ -431,8 +432,11 @@ impl Service {
             }
         }
         tsvr_obs::counter!("serve.rounds.checkpointed").incr();
-        tsvr_obs::counter_labeled("serve.rounds.checkpointed", &format!("session={session_id}"))
-            .incr();
+        tsvr_obs::counter_labeled(
+            "serve.rounds.checkpointed",
+            &format!("session={session_id}"),
+        )
+        .incr();
         Ok(Response::Learned {
             session_id,
             round: row.feedback.len(),
@@ -494,7 +498,12 @@ impl Service {
         };
         let mut by_id: std::collections::BTreeMap<u64, SessionSummary> = latest_checkpoints(rows)
             .into_iter()
-            .map(|(id, r)| (id, summary(id, &r.query, &r.learner, r.feedback.len(), false)))
+            .map(|(id, r)| {
+                (
+                    id,
+                    summary(id, &r.query, &r.learner, r.feedback.len(), false),
+                )
+            })
             .collect();
         // ...then live sessions overlay them (a live session is never
         // behind its last checkpoint).

@@ -31,7 +31,10 @@ pub const HARNESS_SEED: u64 = 0x7375_7276_6569_6c00; // "surveil"
 /// naming the case.
 pub fn cases<F: FnMut(u64, &mut Pcg32)>(n: u64, mut f: F) {
     for case in 0..n {
-        let mut rng = Pcg32::new(HARNESS_SEED ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15), case);
+        let mut rng = Pcg32::new(
+            HARNESS_SEED ^ case.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            case,
+        );
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             f(case, &mut rng);
         }));

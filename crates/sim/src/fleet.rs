@@ -190,8 +190,7 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
-        let names: std::collections::HashSet<_> =
-            members().iter().map(|m| m.name).collect();
+        let names: std::collections::HashSet<_> = members().iter().map(|m| m.name).collect();
         assert_eq!(names.len(), members().len());
         for m in members() {
             let s = scenario(m.name, 1).expect("member must build a scenario");
@@ -215,7 +214,12 @@ mod tests {
         for m in members() {
             let out = World::run(scenario(m.name, 2007).unwrap());
             let hits = out.incidents.iter().filter(|r| r.kind == m.target).count();
-            assert!(hits >= 1, "{}: target {:?} never triggered", m.name, m.target);
+            assert!(
+                hits >= 1,
+                "{}: target {:?} never triggered",
+                m.name,
+                m.target
+            );
         }
     }
 

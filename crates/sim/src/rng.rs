@@ -235,7 +235,10 @@ mod tests {
     #[test]
     fn split_streams_are_distinct_and_stable() {
         // The derivation is pure: same name, same stream, forever.
-        assert_eq!(split_stream("near_miss_brake"), split_stream("near_miss_brake"));
+        assert_eq!(
+            split_stream("near_miss_brake"),
+            split_stream("near_miss_brake")
+        );
         // Distinct fleet names land on distinct streams (and none on the
         // legacy default stream, which the presets reserve).
         let names = [

@@ -52,8 +52,7 @@ impl VehicleClass {
     }
 
     /// Every class, in display order.
-    pub const ALL: [VehicleClass; 3] =
-        [VehicleClass::Car, VehicleClass::Suv, VehicleClass::Pickup];
+    pub const ALL: [VehicleClass; 3] = [VehicleClass::Car, VehicleClass::Suv, VehicleClass::Pickup];
 }
 
 /// One vehicle as seen in the camera image at a given frame.
@@ -510,12 +509,7 @@ impl World {
     /// `min_speed`; the closest qualifying pair wins. Shared by the
     /// rear-end crash and near-miss triggers — the same geometry with
     /// different resolutions.
-    fn following_pair(
-        &self,
-        min_gap: f64,
-        max_gap: f64,
-        min_speed: f64,
-    ) -> Option<(usize, usize)> {
+    fn following_pair(&self, min_gap: f64, max_gap: f64, min_speed: f64) -> Option<(usize, usize)> {
         let snapshot: Vec<(usize, LaneId, f64, f64)> = self
             .vehicles
             .iter()
@@ -1179,8 +1173,8 @@ impl World {
                             }
                         } else {
                             *lat -= step;
-                            let back = (out_lat >= 0.0 && *lat <= 0.0)
-                                || (out_lat < 0.0 && *lat >= 0.0);
+                            let back =
+                                (out_lat >= 0.0 && *lat <= 0.0) || (out_lat < 0.0 && *lat >= 0.0);
                             if back {
                                 *lat = 0.0;
                                 v.maneuver = Maneuver::None;

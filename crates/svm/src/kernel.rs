@@ -464,7 +464,11 @@ mod tests {
             let mut out = vec![0.0; data.len()];
             k.eval_block(&block, probe, &mut out);
             for (j, o) in out.iter().enumerate() {
-                assert_eq!(o.to_bits(), k.eval(probe, &data[j]).to_bits(), "{k:?} row {j}");
+                assert_eq!(
+                    o.to_bits(),
+                    k.eval(probe, &data[j]).to_bits(),
+                    "{k:?} row {j}"
+                );
             }
         }
     }

@@ -98,7 +98,11 @@ impl OneClassSvm {
     /// [`SvmError::DimensionMismatch`]; the values themselves are
     /// trusted, which is exactly what makes memoization across
     /// retrainings possible.
-    pub fn fit_with_gram(&self, data: &[Vec<f64>], gram: &[f64]) -> Result<OneClassModel, SvmError> {
+    pub fn fit_with_gram(
+        &self,
+        data: &[Vec<f64>],
+        gram: &[f64],
+    ) -> Result<OneClassModel, SvmError> {
         self.validate(data)?;
         let n = data.len();
         if gram.len() != n * n {
@@ -314,8 +318,7 @@ impl OneClassModel {
         // shared across a whole chunk, so the allocator is off the
         // per-probe path (it cost ~10% at small support counts).
         const PROBE_CHUNK: usize = 64;
-        tsvr_obs::counter!("svm.kernel.evals")
-            .add((self.support.len() * xs.len()) as u64);
+        tsvr_obs::counter!("svm.kernel.evals").add((self.support.len() * xs.len()) as u64);
         let per_probe = (self.support.len() as u64)
             .saturating_mul(self.kernel.est_eval_ns(self.support_block.dim()))
             + 20; // fold overhead

@@ -49,7 +49,10 @@ fn oneclass_alphas_sum_to_one() {
         assert!((sum - 1.0).abs() < 1e-7, "case {case}: sum alpha = {sum}");
         let c = 1.0 / (nu * data.len() as f64);
         for &a in &model.coeffs {
-            assert!(a > 0.0 && a <= c + 1e-9, "case {case}: alpha {a} out of box");
+            assert!(
+                a > 0.0 && a <= c + 1e-9,
+                "case {case}: alpha {a} out of box"
+            );
         }
     });
 }

@@ -533,9 +533,7 @@ mod tests {
         // A gentle constant-curvature arc is exactly representable by
         // the polynomial model and well sampled by finite differences,
         // so the two formulations must agree closely.
-        let t = track(1, 0..80, |f| {
-            Vec2::new(3.0 * f, 100.0 + 0.01 * f * f)
-        });
+        let t = track(1, 0..80, |f| Vec2::new(3.0 * f, 100.0 + 0.01 * f * f));
         let fd = build_series(std::slice::from_ref(&t), &fd_cfg());
         let pf = build_series(&[t], &cfg());
         assert_eq!(fd[0].len(), pf[0].len());

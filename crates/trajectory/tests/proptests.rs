@@ -231,6 +231,9 @@ fn normalize_shape_unit_length() {
         let n = normalize_shape(&p, 16);
         assert!(n[0].dist(Vec2::ZERO) < 1e-9, "case {case}: not at origin");
         let len: f64 = n.windows(2).map(|w| w[0].dist(w[1])).sum();
-        assert!((len - 1.0).abs() < 1e-6, "case {case}: unit length, got {len}");
+        assert!(
+            (len - 1.0).abs() < 1e-6,
+            "case {case}: unit length, got {len}"
+        );
     });
 }

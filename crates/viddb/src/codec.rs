@@ -326,7 +326,10 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF43926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
     }
 
@@ -345,7 +348,9 @@ mod tests {
         // One past the decode-side sanity bound must fail on encode —
         // otherwise we could write records our own reader rejects.
         let err = w.put_len((MAX_LEN + 1) as usize, "rows").unwrap_err();
-        assert!(matches!(err, DbError::TooLarge { context: "rows", len } if len as u64 == MAX_LEN + 1));
+        assert!(
+            matches!(err, DbError::TooLarge { context: "rows", len } if len as u64 == MAX_LEN + 1)
+        );
         // Nothing was written by the failed call.
         assert!(w.is_empty());
         // A length at the bound encodes fine.

@@ -265,9 +265,9 @@ mod tests {
             let mode = rng.next() % 3;
             let values: Vec<f64> = (0..n)
                 .map(|i| match mode {
-                    0 => rng.f64(),                       // regular measurements
-                    1 => (i / 7) as f64,                  // stepped plateaus
-                    _ => f64::from_bits(rng.next()),      // adversarial
+                    0 => rng.f64(),                  // regular measurements
+                    1 => (i / 7) as f64,             // stepped plateaus
+                    _ => f64::from_bits(rng.next()), // adversarial
                 })
                 .collect();
             round_trip(&values);

@@ -5,8 +5,8 @@ use crate::error::{DbError, Result};
 use crate::frames::{FrameCodec, StoredFrame};
 use crate::log::{CorruptRegion, Log};
 use crate::record::{
-    ClipBundle, ClipMeta, IndexSegment, SessionRow, INDEX_COMPRESSED_VERSION,
-    INDEX_FORMAT_VERSION, INDEX_MAGIC,
+    ClipBundle, ClipMeta, IndexSegment, SessionRow, INDEX_COMPRESSED_VERSION, INDEX_FORMAT_VERSION,
+    INDEX_MAGIC,
 };
 use crate::storage::Storage;
 use std::collections::BTreeMap;
@@ -527,7 +527,11 @@ impl VideoDb {
     /// sessions exist. A session service mints fresh ids above this so
     /// restarts never collide with persisted checkpoints.
     pub fn max_session_id(&self) -> u64 {
-        self.sessions.iter().map(|&(sid, _, _)| sid).max().unwrap_or(0)
+        self.sessions
+            .iter()
+            .map(|&(sid, _, _)| sid)
+            .max()
+            .unwrap_or(0)
     }
 
     /// `(session_id, clip_id)` of every stored session record, in log
@@ -536,7 +540,10 @@ impl VideoDb {
     /// index only); decode the rows you need via
     /// [`VideoDb::sessions_for_clip`].
     pub fn session_index(&self) -> Vec<(u64, u64)> {
-        self.sessions.iter().map(|&(sid, cid, _)| (sid, cid)).collect()
+        self.sessions
+            .iter()
+            .map(|&(sid, cid, _)| (sid, cid))
+            .collect()
     }
 
     /// Stores a segment of video frames for a clip (the clip must

@@ -79,13 +79,22 @@ impl fmt::Display for DbError {
             DbError::InvalidUtf8 => write!(f, "invalid utf-8 in string field"),
             DbError::LengthOutOfBounds(n) => write!(f, "length field {n} out of bounds"),
             DbError::ClipQuarantined(id) => {
-                write!(f, "clip {id} is quarantined (corrupt record; re-ingest to repair)")
+                write!(
+                    f,
+                    "clip {id} is quarantined (corrupt record; re-ingest to repair)"
+                )
             }
             DbError::LogPoisoned => {
-                write!(f, "log poisoned by an unrecoverable append failure; reopen to recover")
+                write!(
+                    f,
+                    "log poisoned by an unrecoverable append failure; reopen to recover"
+                )
             }
             DbError::TooLarge { context, len } => {
-                write!(f, "{context} with {len} elements exceeds the u32 length prefix")
+                write!(
+                    f,
+                    "{context} with {len} elements exceeds the u32 length prefix"
+                )
             }
             DbError::EmptyRecord => {
                 write!(f, "empty record payloads are not supported (zero-length frames are reserved as a corruption signature)")
@@ -162,7 +171,11 @@ mod tests {
         assert!(!DbError::LogPoisoned.is_corruption());
         // TooLarge and EmptyRecord are caller mistakes caught on encode,
         // not stored-data corruption — they must never trigger quarantine.
-        assert!(!DbError::TooLarge { context: "rows", len: 5 }.is_corruption());
+        assert!(!DbError::TooLarge {
+            context: "rows",
+            len: 5
+        }
+        .is_corruption());
         assert!(!DbError::EmptyRecord.is_corruption());
     }
 

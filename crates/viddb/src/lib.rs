@@ -60,4 +60,6 @@ pub use shard::{
     AnyDb, ClipStub, RouteStatus, ShardId, ShardInfo, ShardRoute, ShardedDb,
     DEFAULT_TIME_BUCKET_SECS, MANIFEST_FILE, SINGLE_FILE_SHARD,
 };
-pub use storage::{FaultHandle, FaultKind, FaultyStorage, FileStorage, MemStorage, OpKind, Storage};
+pub use storage::{
+    FaultHandle, FaultKind, FaultyStorage, FileStorage, MemStorage, OpKind, Storage,
+};

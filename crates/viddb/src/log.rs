@@ -119,8 +119,7 @@ fn with_retry<T>(mut op: impl FnMut() -> io::Result<T>) -> Result<T> {
 impl Log {
     /// Creates an empty in-memory log.
     pub fn in_memory() -> Log {
-        Log::with_storage(Box::new(MemStorage::new()))
-            .expect("in-memory log creation cannot fail")
+        Log::with_storage(Box::new(MemStorage::new())).expect("in-memory log creation cannot fail")
     }
 
     /// Opens (or creates) a file-backed log, running recovery on
@@ -273,7 +272,11 @@ impl Log {
                 "viddb.append.rollback",
                 &format!(
                     "append at {offset} failed ({e}); rollback {}",
-                    if rolled_back { "ok" } else { "FAILED, log poisoned" }
+                    if rolled_back {
+                        "ok"
+                    } else {
+                        "FAILED, log poisoned"
+                    }
                 ),
             );
             return Err(e);
@@ -685,7 +688,11 @@ mod tests {
             "tail tear misclassified as mid-log corruption: {report:?}"
         );
         assert!(report.truncated_tail > 0, "torn tail bytes must be counted");
-        assert_eq!(log.scan().unwrap().len(), 0, "no phantom records may survive");
+        assert_eq!(
+            log.scan().unwrap().len(),
+            0,
+            "no phantom records may survive"
+        );
         // The truncated log accepts new records cleanly.
         let off = log.append(b"after recovery").unwrap();
         assert_eq!(log.read(off).unwrap(), b"after recovery");
@@ -725,7 +732,10 @@ mod tests {
         {
             let mut log = Log::open(&path).unwrap();
             let report = log.recovery_report().clone();
-            assert_eq!(report.truncated_tail, 0, "tail must be quarantined, not truncated");
+            assert_eq!(
+                report.truncated_tail, 0,
+                "tail must be quarantined, not truncated"
+            );
             assert_eq!(report.regions.len(), 1);
             assert_eq!(report.regions[0].offset, tail_off);
             assert_eq!(report.regions[0].len, file_len - tail_off);
@@ -786,7 +796,10 @@ mod tests {
         let huge = vec![0u8; (MAX_LEN + 1) as usize];
         assert!(matches!(
             log.append(&huge).unwrap_err(),
-            DbError::TooLarge { context: "record payload", .. }
+            DbError::TooLarge {
+                context: "record payload",
+                ..
+            }
         ));
         assert_eq!(log.len(), before);
         assert!(!log.is_poisoned());

@@ -339,8 +339,8 @@ impl IndexWindowRow {
             track_ids.push(r.get_u64()?);
         }
         let m = r.get_len_bounded(8)?; // f64 per feature
-        // The flat matrix must be exactly sequences × feature_dim; any
-        // other shape is a corrupt segment, not a usable index.
+                                       // The flat matrix must be exactly sequences × feature_dim; any
+                                       // other shape is a corrupt segment, not a usable index.
         if m != n.saturating_mul(feature_dim as usize) {
             return Err(DbError::LengthOutOfBounds(m as u64));
         }
@@ -716,7 +716,10 @@ mod tests {
         seg.encode(&mut w).unwrap();
         let bytes = w.into_bytes();
         let err = IndexSegment::decode(&mut Reader::new(&bytes)).unwrap_err();
-        assert!(err.is_corruption(), "shape mismatch not corruption: {err:?}");
+        assert!(
+            err.is_corruption(),
+            "shape mismatch not corruption: {err:?}"
+        );
     }
 
     #[test]
@@ -749,14 +752,22 @@ mod tests {
     #[test]
     fn compressed_index_segment_round_trips_bit_exact() {
         let seg = test_fixtures::sample_index(9);
-        round_trip(&seg, IndexSegment::encode_compressed, IndexSegment::decode_compressed);
+        round_trip(
+            &seg,
+            IndexSegment::encode_compressed,
+            IndexSegment::decode_compressed,
+        );
         let empty = IndexSegment {
             clip_id: 1,
             config_hash: 7,
             feature_dim: 9,
             windows: vec![],
         };
-        round_trip(&empty, IndexSegment::encode_compressed, IndexSegment::decode_compressed);
+        round_trip(
+            &empty,
+            IndexSegment::encode_compressed,
+            IndexSegment::decode_compressed,
+        );
         // NaN payloads and signed zeros in feature rows survive bitwise.
         let mut special = test_fixtures::sample_index(2);
         special.windows[1].features = vec![
@@ -773,7 +784,11 @@ mod tests {
         let mut w = Writer::new();
         special.encode_compressed(&mut w).unwrap();
         let back = IndexSegment::decode_compressed(&mut Reader::new(&w.into_bytes())).unwrap();
-        for (a, b) in special.windows[1].features.iter().zip(&back.windows[1].features) {
+        for (a, b) in special.windows[1]
+            .features
+            .iter()
+            .zip(&back.windows[1].features)
+        {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -822,10 +837,15 @@ mod tests {
         // centroids is not practical in a unit test, and put_len is the
         // single choke point every record encoder now routes through.
         let mut w = Writer::new();
-        let err = w.put_len(u32::MAX as usize + 1, "track centroids").unwrap_err();
+        let err = w
+            .put_len(u32::MAX as usize + 1, "track centroids")
+            .unwrap_err();
         assert!(matches!(
             err,
-            DbError::TooLarge { context: "track centroids", .. }
+            DbError::TooLarge {
+                context: "track centroids",
+                ..
+            }
         ));
         assert!(!err.is_corruption());
     }

@@ -100,7 +100,11 @@ impl ShardId {
     /// the name only has to be stable and collision-resistant enough
     /// to keep unrelated shards in separate files.
     pub fn file_name(&self) -> String {
-        format!("shard-{:016x}-{:08x}.db", fnv1a(self.camera.as_bytes()), self.bucket)
+        format!(
+            "shard-{:016x}-{:08x}.db",
+            fnv1a(self.camera.as_bytes()),
+            self.bucket
+        )
     }
 }
 
@@ -257,7 +261,9 @@ impl ShardedDb {
         for entry in std::fs::read_dir(&self.dir)? {
             let name = entry?.file_name();
             let Some(name) = name.to_str() else { continue };
-            if name.starts_with("shard-") && name.ends_with(".db") && !routed.contains(&name.to_string())
+            if name.starts_with("shard-")
+                && name.ends_with(".db")
+                && !routed.contains(&name.to_string())
             {
                 orphans.push(name.to_string());
             }
@@ -265,7 +271,9 @@ impl ShardedDb {
         drop(routed);
         for file in orphans {
             self.open_shard(&file);
-            let Some(shard) = self.shards.get(&file) else { continue };
+            let Some(shard) = self.shards.get(&file) else {
+                continue;
+            };
             let keys: Vec<ShardId> = shard
                 .list_clips()
                 .iter()
@@ -315,7 +323,10 @@ impl ShardedDb {
             }
         };
         if let Some(reason) = self.quarantined.get(&file) {
-            return Err(DbError::ShardUnavailable { file, reason: reason.clone() });
+            return Err(DbError::ShardUnavailable {
+                file,
+                reason: reason.clone(),
+            });
         }
         self.open_shard(&file);
         match self.shards.get_mut(&file) {
@@ -350,7 +361,10 @@ impl ShardedDb {
             return Err(DbError::ClipNotFound(clip_id));
         };
         if let Some(reason) = self.quarantined.get(&file) {
-            return Err(DbError::ShardUnavailable { file, reason: reason.clone() });
+            return Err(DbError::ShardUnavailable {
+                file,
+                reason: reason.clone(),
+            });
         }
         match self.shards.get_mut(&file) {
             Some(shard) => Ok(shard),
@@ -433,7 +447,11 @@ impl ShardedDb {
 
     /// Highest session id across healthy shards (`0` when none).
     pub fn max_session_id(&self) -> u64 {
-        self.shards.values().map(|s| s.max_session_id()).max().unwrap_or(0)
+        self.shards
+            .values()
+            .map(|s| s.max_session_id())
+            .max()
+            .unwrap_or(0)
     }
 
     /// `(session_id, clip_id)` pairs across all healthy shards, in
@@ -454,8 +472,7 @@ impl ShardedDb {
 
     /// All clips across healthy shards, ordered by clip id.
     pub fn list_clips(&self) -> Vec<&ClipMeta> {
-        let mut out: Vec<&ClipMeta> =
-            self.shards.values().flat_map(|s| s.list_clips()).collect();
+        let mut out: Vec<&ClipMeta> = self.shards.values().flat_map(|s| s.list_clips()).collect();
         out.sort_by_key(|m| m.clip_id);
         out
     }
@@ -467,16 +484,22 @@ impl ShardedDb {
 
     /// Clips captured at a location, across shards, ordered by clip id.
     pub fn find_by_location(&self, location: &str) -> Vec<&ClipMeta> {
-        let mut out: Vec<&ClipMeta> =
-            self.shards.values().flat_map(|s| s.find_by_location(location)).collect();
+        let mut out: Vec<&ClipMeta> = self
+            .shards
+            .values()
+            .flat_map(|s| s.find_by_location(location))
+            .collect();
         out.sort_by_key(|m| m.clip_id);
         out
     }
 
     /// Clips captured by a camera, across shards, ordered by clip id.
     pub fn find_by_camera(&self, camera: &str) -> Vec<&ClipMeta> {
-        let mut out: Vec<&ClipMeta> =
-            self.shards.values().flat_map(|s| s.find_by_camera(camera)).collect();
+        let mut out: Vec<&ClipMeta> = self
+            .shards
+            .values()
+            .flat_map(|s| s.find_by_camera(camera))
+            .collect();
         out.sort_by_key(|m| m.clip_id);
         out
     }
@@ -484,8 +507,11 @@ impl ShardedDb {
     /// Clips whose capture start falls in `[from, to]`, across shards,
     /// ordered by clip id.
     pub fn find_by_time_range(&self, from: u64, to: u64) -> Vec<&ClipMeta> {
-        let mut out: Vec<&ClipMeta> =
-            self.shards.values().flat_map(|s| s.find_by_time_range(from, to)).collect();
+        let mut out: Vec<&ClipMeta> = self
+            .shards
+            .values()
+            .flat_map(|s| s.find_by_time_range(from, to))
+            .collect();
         out.sort_by_key(|m| m.clip_id);
         out
     }
@@ -526,7 +552,10 @@ impl ShardedDb {
 
     /// Quarantined shards as `(file, reason)` pairs, in file order.
     pub fn quarantined_shards(&self) -> Vec<(String, String)> {
-        self.quarantined.iter().map(|(f, r)| (f.clone(), r.clone())).collect()
+        self.quarantined
+            .iter()
+            .map(|(f, r)| (f.clone(), r.clone()))
+            .collect()
     }
 
     /// Aggregated per-clip fault report over every healthy shard.
@@ -790,7 +819,13 @@ mod tests {
         let sessions = db.sessions_for_clip(2).unwrap();
         assert_eq!(sessions.len(), 1);
         assert_eq!(sessions[0].query, "accident");
-        assert_eq!(db.list_clips().iter().map(|m| m.clip_id).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(
+            db.list_clips()
+                .iter()
+                .map(|m| m.clip_id)
+                .collect::<Vec<_>>(),
+            vec![1, 2]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -819,7 +854,8 @@ mod tests {
             db.put_clip(&bundle_at(1, "cam-a", 0)).unwrap();
             db.put_clip(&bundle_at(2, "cam-b", 0)).unwrap();
             db.sync().unwrap();
-            victim = ShardId::for_meta(&bundle_at(2, "cam-b", 0).meta, db.bucket_secs()).file_name();
+            victim =
+                ShardId::for_meta(&bundle_at(2, "cam-b", 0).meta, db.bucket_secs()).file_name();
         }
         std::fs::remove_file(dir.join(&victim)).unwrap();
         let mut db = ShardedDb::open(&dir).unwrap();
@@ -841,7 +877,8 @@ mod tests {
             db.put_clip(&bundle_at(1, "cam-a", 0)).unwrap();
             db.put_clip(&bundle_at(2, "cam-b", 0)).unwrap();
             db.sync().unwrap();
-            victim = ShardId::for_meta(&bundle_at(2, "cam-b", 0).meta, db.bucket_secs()).file_name();
+            victim =
+                ShardId::for_meta(&bundle_at(2, "cam-b", 0).meta, db.bucket_secs()).file_name();
         }
         // Destroy the victim's file header so VideoDb::open refuses it.
         std::fs::write(dir.join(&victim), b"NOTADB!!").unwrap();
@@ -860,7 +897,10 @@ mod tests {
             DbError::ShardUnavailable { .. }
         ));
         // The damaged clip is simply unknown (not served corrupt).
-        assert!(matches!(db.load_clip(2).unwrap_err(), DbError::ClipNotFound(2)));
+        assert!(matches!(
+            db.load_clip(2).unwrap_err(),
+            DbError::ClipNotFound(2)
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -891,7 +931,12 @@ mod tests {
         let dir = temp_dir("compact");
         let mut db = ShardedDb::open(&dir).unwrap();
         for id in 1..=4u64 {
-            db.put_clip(&bundle_at(id, if id % 2 == 0 { "cam-a" } else { "cam-b" }, 0)).unwrap();
+            db.put_clip(&bundle_at(
+                id,
+                if id % 2 == 0 { "cam-a" } else { "cam-b" },
+                0,
+            ))
+            .unwrap();
         }
         db.delete_clip(3).unwrap();
         let before = db.log_size();
@@ -927,7 +972,10 @@ mod tests {
         // Routes are derived per (camera, bucket), all naming the file.
         let routes = db.shard_routes();
         assert_eq!(
-            routes.iter().map(|r| (r.camera.as_str(), r.bucket)).collect::<Vec<_>>(),
+            routes
+                .iter()
+                .map(|r| (r.camera.as_str(), r.bucket))
+                .collect::<Vec<_>>(),
             vec![("cam-a", 0), ("cam-b", 2)]
         );
         assert!(routes.iter().all(|r| r.file == SINGLE_FILE_SHARD));

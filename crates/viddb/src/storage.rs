@@ -479,7 +479,10 @@ mod tests {
         // Truncate never grows.
         s.truncate(100).unwrap();
         assert_eq!(s.len().unwrap(), 2);
-        assert_eq!(MemStorage::from_bytes(vec![1, 2, 3]).into_bytes(), [1, 2, 3]);
+        assert_eq!(
+            MemStorage::from_bytes(vec![1, 2, 3]).into_bytes(),
+            [1, 2, 3]
+        );
     }
 
     #[test]
@@ -514,7 +517,11 @@ mod tests {
         s.append(b"durable").unwrap();
         s.sync().unwrap();
         h.schedule(2, FaultKind::Crash);
-        assert!(s.append(b"lost-maybe").unwrap_err().to_string().contains("crash"));
+        assert!(s
+            .append(b"lost-maybe")
+            .unwrap_err()
+            .to_string()
+            .contains("crash"));
         assert!(h.crashed());
         // Everything errors after the crash.
         assert!(s.sync().is_err());

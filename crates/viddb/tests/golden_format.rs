@@ -21,7 +21,10 @@ fn open_golden() -> VideoDb {
 fn golden_log_opens_clean() {
     let db = open_golden();
     let report = db.fault_report();
-    assert!(report.is_clean(), "golden fixture reported damage: {report:?}");
+    assert!(
+        report.is_clean(),
+        "golden fixture reported damage: {report:?}"
+    );
     assert_eq!(db.clip_count(), 1);
     assert_eq!(db.session_count(), 1);
     assert_eq!(db.video_segment_count(), 1);
@@ -122,12 +125,21 @@ fn golden_file_opens_as_one_shard_view() {
     let mut direct = open_golden();
     let mut view = ShardedDb::open(&path).unwrap();
     let ids: Vec<u64> = direct.list_clips().iter().map(|m| m.clip_id).collect();
-    assert_eq!(view.list_clips().iter().map(|m| m.clip_id).collect::<Vec<_>>(), ids);
+    assert_eq!(
+        view.list_clips()
+            .iter()
+            .map(|m| m.clip_id)
+            .collect::<Vec<_>>(),
+        ids
+    );
     for id in ids {
         assert_eq!(view.meta(id), direct.meta(id));
         assert_eq!(view.load_clip(id).unwrap(), direct.load_clip(id).unwrap());
         assert_eq!(view.load_index(id).unwrap(), direct.load_index(id).unwrap());
-        assert_eq!(view.sessions_for_clip(id).unwrap(), direct.sessions_for_clip(id).unwrap());
+        assert_eq!(
+            view.sessions_for_clip(id).unwrap(),
+            direct.sessions_for_clip(id).unwrap()
+        );
     }
     let reports = view.verify().unwrap();
     assert_eq!(reports.len(), 1);
@@ -159,6 +171,10 @@ fn golden_file_opens_as_one_shard_view() {
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
     entries.sort();
-    assert_eq!(entries, vec!["golden.db".to_string()], "no MANIFEST or shard files");
+    assert_eq!(
+        entries,
+        vec!["golden.db".to_string()],
+        "no MANIFEST or shard files"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -110,12 +110,7 @@ fn track_row_round_trips() {
             track_id: rng.next_u64(),
             start_frame: rng.next_u32(),
             centroids: (0..rng.uniform_usize(60))
-                .map(|_| {
-                    (
-                        rng.uniform(-1e4, 1e4) as f32,
-                        rng.uniform(-1e4, 1e4) as f32,
-                    )
-                })
+                .map(|_| (rng.uniform(-1e4, 1e4) as f32, rng.uniform(-1e4, 1e4) as f32))
                 .collect(),
         };
         let mut w = Writer::new();
@@ -286,7 +281,10 @@ fn log_recovers_exact_record_prefix_under_truncation() {
         if cut < 8 {
             // Sub-magic cut: re-initialised empty log.
             assert!(got.is_empty(), "case {case}");
-            assert!(log.recovery_report().recovered_header || cut == 0, "case {case}");
+            assert!(
+                log.recovery_report().recovered_header || cut == 0,
+                "case {case}"
+            );
             return;
         }
         // The recovered records must be exactly the longest full-record
@@ -321,7 +319,13 @@ fn corrupted_record_bytes_never_panic_decoders() {
                 .map(|_| tsvr_viddb::SequenceRow {
                     track_id: rng.next_u64(),
                     alphas: (0..check::len_in(rng, 0, 4))
-                        .map(|_| [rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)])
+                        .map(|_| {
+                            [
+                                rng.uniform(0.0, 1.0),
+                                rng.uniform(0.0, 1.0),
+                                rng.uniform(0.0, 1.0),
+                            ]
+                        })
                         .collect(),
                 })
                 .collect(),

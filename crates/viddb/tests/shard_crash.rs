@@ -164,7 +164,10 @@ fn crash_at_every_op_leaves_shards_independently_recoverable() {
         let len = std::fs::metadata(&victim).unwrap().len();
         let tear = 1 + xorshift(&mut rng) % 40;
         let keep = len.saturating_sub(tear);
-        let f = std::fs::OpenOptions::new().write(true).open(&victim).unwrap();
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&victim)
+            .unwrap();
         f.set_len(keep).unwrap();
         drop(f);
 
@@ -225,7 +228,10 @@ fn torn_manifest_tail_never_loses_whole_shards() {
     let expected = run_prefix(&dir, script().len());
     let manifest = dir.join(MANIFEST_FILE);
     let len = std::fs::metadata(&manifest).unwrap().len();
-    let f = std::fs::OpenOptions::new().write(true).open(&manifest).unwrap();
+    let f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&manifest)
+        .unwrap();
     f.set_len(len.saturating_sub(20)).unwrap();
     drop(f);
 

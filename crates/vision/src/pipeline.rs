@@ -89,8 +89,9 @@ pub fn process(sim: &SimOutput, kind: ScenarioKind, cfg: &PipelineConfig) -> Vis
     let chunk_len = tsvr_par::current_threads().max(1) * 4;
     for obs_chunk in sim.frames.chunks(chunk_len) {
         // Parallel, pure: synthesize the chunk's frames.
-        let frames: Vec<GrayFrame> =
-            tsvr_par::par_map(obs_chunk, |_, obs| renderer.render(&obs.vehicles, obs.frame));
+        let frames: Vec<GrayFrame> = tsvr_par::par_map(obs_chunk, |_, obs| {
+            renderer.render(&obs.vehicles, obs.frame)
+        });
 
         // Sequential, stateful: background estimate + model update in
         // clip order (each update feeds the next frame's estimate).

@@ -145,17 +145,17 @@ fn majority_filter_matches_neighborhood_definition() {
                 for dy in -1i64..=1 {
                     for dx in -1i64..=1 {
                         let (nx, ny) = (x as i64 + dx, y as i64 + dy);
-                        if nx >= 0 && ny >= 0 && nx < 12 && ny < 12 && mask.get(nx as u32, ny as u32)
+                        if nx >= 0
+                            && ny >= 0
+                            && nx < 12
+                            && ny < 12
+                            && mask.get(nx as u32, ny as u32)
                         {
                             n += 1;
                         }
                     }
                 }
-                assert_eq!(
-                    cleaned.get(x, y),
-                    n >= 5,
-                    "case {case}: pixel ({x}, {y})"
-                );
+                assert_eq!(cleaned.get(x, y), n >= 5, "case {case}: pixel ({x}, {y})");
             }
         }
     });

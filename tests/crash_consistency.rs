@@ -30,7 +30,9 @@ use tsvr_viddb::record::{ClipBundle, ClipMeta, SessionRow, TrackRow};
 use tsvr_viddb::{DbError, FaultKind, FaultyStorage, MemStorage, VideoDb};
 
 fn fast_mode() -> bool {
-    std::env::var("TSVR_CRASH_FAST").map(|v| v == "1").unwrap_or(false)
+    std::env::var("TSVR_CRASH_FAST")
+        .map(|v| v == "1")
+        .unwrap_or(false)
 }
 
 /// Deterministic bundle for a clip id — reopened data can be compared
@@ -177,11 +179,7 @@ fn count_storage_ops(ops: &[Op]) -> u64 {
 /// Runs `ops` against a fresh faulty storage with a crash scheduled at
 /// storage-op `crash_at`. Returns the candidate model states the
 /// post-crash image may legally decode to, and the fault handle.
-fn run_to_crash(
-    ops: &[Op],
-    seed: u64,
-    crash_at: u64,
-) -> (Vec<State>, tsvr_viddb::FaultHandle) {
+fn run_to_crash(ops: &[Op], seed: u64, crash_at: u64) -> (Vec<State>, tsvr_viddb::FaultHandle) {
     let (storage, handle) = FaultyStorage::new(seed);
     handle.schedule(crash_at, FaultKind::Crash);
     let empty = State::default();
@@ -230,9 +228,7 @@ fn run_crash_sweep(seed: u64) -> u64 {
         let image = handle.crash_image();
         // Invariant 1: the database ALWAYS reopens.
         let mut db = VideoDb::with_storage(Box::new(MemStorage::from_bytes(image)))
-            .unwrap_or_else(|e| {
-                panic!("seed {seed} crash@{crash_at}: reopen failed: {e}")
-            });
+            .unwrap_or_else(|e| panic!("seed {seed} crash@{crash_at}: reopen failed: {e}"));
         // Invariant 2: a pure truncation crash never corrupts a
         // record mid-log — nothing to quarantine.
         let state = read_state(&mut db);
@@ -303,11 +299,8 @@ fn every_stored_byte_flip_degrades_to_quarantine_not_wrong_data() {
             let mut flipped = image.clone();
             flipped[byte] ^= 1 << (byte % 8);
             // Invariant 1: bit rot never takes the open path down.
-            let mut db =
-                VideoDb::with_storage(Box::new(MemStorage::from_bytes(flipped)))
-                    .unwrap_or_else(|e| {
-                        panic!("seed {seed} flip@{byte}: open failed: {e}")
-                    });
+            let mut db = VideoDb::with_storage(Box::new(MemStorage::from_bytes(flipped)))
+                .unwrap_or_else(|e| panic!("seed {seed} flip@{byte}: open failed: {e}"));
             // Invariant 2: every clip the DB serves is byte-identical
             // to what was stored — a flipped record is quarantined or
             // absent, never silently wrong. (A flipped tombstone can
@@ -364,9 +357,8 @@ fn single_transient_error_at_any_op_is_invisible() {
     for fault_at in 0..total {
         let (storage, handle) = FaultyStorage::new(seed);
         handle.schedule(fault_at, FaultKind::TransientIo);
-        let mut db = VideoDb::with_storage(Box::new(storage)).unwrap_or_else(|e| {
-            panic!("transient@{fault_at}: open failed: {e}")
-        });
+        let mut db = VideoDb::with_storage(Box::new(storage))
+            .unwrap_or_else(|e| panic!("transient@{fault_at}: open failed: {e}"));
         for &op in &ops {
             drive(&mut db, op)
                 .unwrap_or_else(|e| panic!("transient@{fault_at}: op {op:?} failed: {e}"));

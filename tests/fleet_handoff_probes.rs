@@ -97,7 +97,10 @@ fn handoff_query_scatters_across_both_camera_shards() {
         .iter()
         .flat_map(|s| s.clips.iter().cloned())
         .collect();
-    let one_shard = [ShardWindows { shard: "all".into(), clips: flat }];
+    let one_shard = [ShardWindows {
+        shard: "all".into(),
+        clips: flat,
+    }];
     assert_eq!(sharded, rank_topk(&one_shard, Scorer::Heuristic, 20));
     assert!(!sharded.is_empty());
 

@@ -51,7 +51,14 @@ fn index_served_query_does_no_vision_or_segmentation_work() {
         clip_id: 1,
         bags: bags_from_dataset(&ds),
     }];
-    let top = rank_topk(&[ShardWindows { shard: "-".into(), clips }], Scorer::Heuristic, 5);
+    let top = rank_topk(
+        &[ShardWindows {
+            shard: "-".into(),
+            clips,
+        }],
+        Scorer::Heuristic,
+        5,
+    );
     assert!(!top.is_empty());
 
     assert_eq!(

@@ -132,8 +132,12 @@ fn interleaved_sessions_match_solo_rankings() {
     let bundles = vec![make_bundle(1, 41), make_bundle(2, 42)];
     // (clip, learner, salt): two clients per clip, mixed learners, so
     // sessions share clip views but never learner state.
-    let clients: Vec<(u64, &str, u64)> =
-        vec![(1, "ocsvm", 0), (1, "wrf", 1), (2, "ocsvm", 2), (2, "wrf", 3)];
+    let clients: Vec<(u64, &str, u64)> = vec![
+        (1, "ocsvm", 0),
+        (1, "wrf", 1),
+        (2, "ocsvm", 2),
+        (2, "wrf", 3),
+    ];
 
     // Solo reference: each client alone on a fresh service.
     let solo: Vec<Vec<Vec<u64>>> = clients
@@ -159,8 +163,7 @@ fn interleaved_sessions_match_solo_rankings() {
             })
         })
         .collect();
-    let interleaved: Vec<Vec<Vec<u64>>> =
-        handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let interleaved: Vec<Vec<Vec<u64>>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
 
     for (i, (alone, shared)) in solo.iter().zip(&interleaved).enumerate() {
         assert_eq!(
@@ -279,7 +282,9 @@ fn crash_at_every_op_never_loses_an_acked_round() {
     assert!(total_ops > 0);
 
     // Crash sweep: one run per storage operation, crash scheduled there.
-    let fast = std::env::var("TSVR_CRASH_FAST").map(|v| v == "1").unwrap_or(false);
+    let fast = std::env::var("TSVR_CRASH_FAST")
+        .map(|v| v == "1")
+        .unwrap_or(false);
     let step = if fast { 7 } else { 1 };
     for k in (0..total_ops).step_by(step) {
         let (storage, handle) = FaultyStorage::with_image(seed_image.clone(), 7);

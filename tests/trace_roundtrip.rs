@@ -21,8 +21,17 @@ use tsvr_sim::rng::Pcg32;
 /// control characters, and some multi-byte UTF-8.
 fn awkward_string(rng: &mut Pcg32) -> String {
     const PIECES: &[&str] = &[
-        "plain", "with \"quotes\"", "back\\slash", "new\nline", "tab\there", "\u{1}\u{1f}",
-        "naïve", "日本語", "{na:me}", "", "a,b:c[d]e",
+        "plain",
+        "with \"quotes\"",
+        "back\\slash",
+        "new\nline",
+        "tab\there",
+        "\u{1}\u{1f}",
+        "naïve",
+        "日本語",
+        "{na:me}",
+        "",
+        "a,b:c[d]e",
     ];
     let n = check::len_in(rng, 0, 4);
     (0..n)
@@ -141,7 +150,11 @@ fn flight_recorder_wrap_keeps_the_newest_events_in_seq_order() {
         let oldest = writes.saturating_sub(cap);
         for (k, ev) in events.iter().enumerate() {
             assert_eq!(ev.seq, (oldest + k) as u64, "case {case}: seq gap");
-            assert_eq!(ev.start_ns, (oldest + k) as u64, "case {case}: payload mismatch");
+            assert_eq!(
+                ev.start_ns,
+                (oldest + k) as u64,
+                "case {case}: payload mismatch"
+            );
         }
     });
 }
