@@ -3,45 +3,37 @@
 //! plus learner training and ranking in isolation).
 
 use std::hint::black_box;
+use std::sync::Arc;
 use tsvr_bench::harness::Bencher;
-use tsvr_core::{prepare_clip, run_session, EventQuery, LearnerKind, PipelineOptions};
+use tsvr_core::{prepare_clip, EventQuery, LearnerKind, PipelineOptions, Session};
 use tsvr_mil::session::rank_by;
-use tsvr_mil::{heuristic, GroundTruthOracle, Learner, SessionConfig};
+use tsvr_mil::{heuristic, GroundTruthOracle, Learner};
 use tsvr_sim::Scenario;
 use tsvr_svm::Kernel;
 
 fn main() {
     let mut b = Bencher::new("retrieval");
     let clip = prepare_clip(&Scenario::tunnel_small(7), &PipelineOptions::default());
-    let cfg = SessionConfig {
-        top_n: 10,
-        feedback_rounds: 4,
-        ..SessionConfig::default()
+    let labels = clip.labels(&EventQuery::accidents());
+    let oracle = GroundTruthOracle::new(labels.clone());
+    let bags = Arc::new(clip.bags.clone());
+    let session = |kind| {
+        Session::open(0, 0, "accident", kind, Arc::clone(black_box(&bags)))
+            .run_rounds(&oracle, 10, 4)
+            .unwrap()
     };
 
     b.bench("session_ocsvm_small_clip", || {
-        run_session(
-            black_box(&clip),
-            &EventQuery::accidents(),
-            LearnerKind::paper_ocsvm(),
-            cfg,
-        )
+        session(LearnerKind::paper_ocsvm())
     });
     b.bench("session_weighted_rf_small_clip", || {
-        run_session(
-            black_box(&clip),
-            &EventQuery::accidents(),
-            LearnerKind::paper_weighted_rf(),
-            cfg,
-        )
+        session(LearnerKind::paper_weighted_rf())
     });
 
     b.bench("heuristic_rank_all_bags", || {
         rank_by(black_box(&clip.bags), heuristic::bag_score)
     });
 
-    let labels = clip.labels(&EventQuery::accidents());
-    let _oracle = GroundTruthOracle::new(labels.clone());
     let feedback: Vec<(usize, bool)> = clip
         .bags
         .iter()

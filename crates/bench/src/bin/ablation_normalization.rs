@@ -6,18 +6,20 @@
 //! outperforms both the linear normalization and no normalization at
 //! all". This ablation reruns the accident sessions under all three.
 
-use tsvr_bench::{clip1, clip2, print_accuracy_table, run_accident_session, PAPER_SEED};
-use tsvr_core::LearnerKind;
+use tsvr_bench::{clip1, clip2, paper_rounds, print_accuracy_table, PAPER_SEED};
+use tsvr_core::{EventQuery, LearnerKind};
 use tsvr_mil::Normalization;
 
 fn main() {
+    let accidents = EventQuery::accidents();
     for (name, clip) in [
         ("clip 1 (tunnel)", clip1(PAPER_SEED)),
         ("clip 2 (intersection)", clip2(PAPER_SEED)),
     ] {
-        let raw = run_accident_session(&clip, LearnerKind::WeightedRf(Normalization::None));
-        let linear = run_accident_session(&clip, LearnerKind::WeightedRf(Normalization::Linear));
-        let pct = run_accident_session(&clip, LearnerKind::WeightedRf(Normalization::Percentage));
+        let wrf = |n| paper_rounds(&clip, &accidents, LearnerKind::WeightedRf(n));
+        let raw = wrf(Normalization::None);
+        let linear = wrf(Normalization::Linear);
+        let pct = wrf(Normalization::Percentage);
         print_accuracy_table(
             &format!("Ablation A1 — weight normalization, {name}"),
             &[&pct, &linear, &raw],

@@ -5,11 +5,12 @@
 //! values against the per-clip median-heuristic choice the library
 //! defaults to, on both clips.
 
-use tsvr_bench::{clip1, clip2, run_accident_session, PAPER_SEED};
+use tsvr_bench::{clip1, clip2, paper_rounds, PAPER_SEED};
 use tsvr_core::pipeline::median_heuristic_gamma;
-use tsvr_core::LearnerKind;
+use tsvr_core::{EventQuery, LearnerKind};
 
 fn main() {
+    let accidents = EventQuery::accidents();
     println!("Ablation A4 — RBF width (final-round accuracy@20)");
     println!("==================================================");
     let c1 = clip1(PAPER_SEED);
@@ -24,8 +25,8 @@ fn main() {
         "gamma", "clip1 final", "clip2 final"
     );
     for gamma in [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0] {
-        let r1 = run_accident_session(&c1, LearnerKind::OcSvm { gamma, z: 0.05 });
-        let r2 = run_accident_session(&c2, LearnerKind::OcSvm { gamma, z: 0.05 });
+        let r1 = paper_rounds(&c1, &accidents, LearnerKind::OcSvm { gamma, z: 0.05 });
+        let r2 = paper_rounds(&c2, &accidents, LearnerKind::OcSvm { gamma, z: 0.05 });
         println!(
             "{:>10} {:>11.0}% {:>11.0}%",
             gamma,
@@ -33,8 +34,8 @@ fn main() {
             r2.accuracies.last().unwrap() * 100.0
         );
     }
-    let r1 = run_accident_session(&c1, LearnerKind::paper_ocsvm());
-    let r2 = run_accident_session(&c2, LearnerKind::paper_ocsvm());
+    let r1 = paper_rounds(&c1, &accidents, LearnerKind::paper_ocsvm());
+    let r2 = paper_rounds(&c2, &accidents, LearnerKind::paper_ocsvm());
     println!(
         "{:>10} {:>11.0}% {:>11.0}%",
         "auto",

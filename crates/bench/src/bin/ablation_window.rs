@@ -5,8 +5,8 @@
 //! size (and one alternative sampling rate) and reruns the clip-1
 //! accident session, showing the event-length argument empirically.
 
-use tsvr_bench::{paper_session, PAPER_SEED};
-use tsvr_core::{prepare_clip, run_session, EventQuery, LearnerKind, PipelineOptions};
+use tsvr_bench::{paper_rounds, PAPER_SEED};
+use tsvr_core::{prepare_clip, EventQuery, LearnerKind, PipelineOptions};
 use tsvr_mil::Normalization;
 use tsvr_sim::Scenario;
 use tsvr_trajectory::checkpoint::FeatureConfig;
@@ -25,17 +25,12 @@ fn run(window_size: usize, sampling_rate: u32) -> (usize, usize, f64, f64, f64) 
         ..PipelineOptions::default()
     };
     let clip = prepare_clip(&Scenario::tunnel_paper(PAPER_SEED), &opts);
-    let mil = run_session(
+    let accidents = EventQuery::accidents();
+    let mil = paper_rounds(&clip, &accidents, LearnerKind::paper_ocsvm());
+    let wrf = paper_rounds(
         &clip,
-        &EventQuery::accidents(),
-        LearnerKind::paper_ocsvm(),
-        paper_session(),
-    );
-    let wrf = run_session(
-        &clip,
-        &EventQuery::accidents(),
+        &accidents,
         LearnerKind::WeightedRf(Normalization::Percentage),
-        paper_session(),
     );
     (
         clip.dataset.window_count(),

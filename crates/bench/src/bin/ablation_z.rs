@@ -4,10 +4,11 @@
 //! `δ = 1 − (h/H + z)` and reports that "z = 0.05 works well". This
 //! ablation sweeps `z` on both clips.
 
-use tsvr_bench::{clip1, clip2, run_accident_session, PAPER_SEED};
-use tsvr_core::LearnerKind;
+use tsvr_bench::{clip1, clip2, paper_rounds, PAPER_SEED};
+use tsvr_core::{EventQuery, LearnerKind};
 
 fn main() {
+    let accidents = EventQuery::accidents();
     println!("Ablation A2 — Eq. 9's z parameter (final-round accuracy@20)");
     println!("============================================================");
     let c1 = clip1(PAPER_SEED);
@@ -17,8 +18,8 @@ fn main() {
         "z", "clip1 final (init)", "clip2 final (init)"
     );
     for z in [0.0, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3] {
-        let r1 = run_accident_session(&c1, LearnerKind::OcSvmAuto { z });
-        let r2 = run_accident_session(&c2, LearnerKind::OcSvmAuto { z });
+        let r1 = paper_rounds(&c1, &accidents, LearnerKind::OcSvmAuto { z });
+        let r2 = paper_rounds(&c2, &accidents, LearnerKind::OcSvmAuto { z });
         println!(
             "{:>6.2} {:>15.0}% ({:>3.0}%) {:>15.0}% ({:>3.0}%)",
             z,

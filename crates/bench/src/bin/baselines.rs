@@ -5,19 +5,24 @@
 //! baseline, on both clips. Not a paper table; included because the
 //! paper positions its contribution against exactly these algorithms.
 
-use tsvr_bench::{clip1, clip2, print_accuracy_table, run_accident_session, PAPER_SEED};
-use tsvr_core::LearnerKind;
+use tsvr_bench::{clip1, clip2, paper_rounds, print_accuracy_table, PAPER_SEED};
+use tsvr_core::{EventQuery, LearnerKind};
 
 fn main() {
+    let accidents = EventQuery::accidents();
     for (name, clip) in [
         ("clip 1 (tunnel)", clip1(PAPER_SEED)),
         ("clip 2 (intersection)", clip2(PAPER_SEED)),
     ] {
-        let ocsvm = run_accident_session(&clip, LearnerKind::paper_ocsvm());
-        let wrf = run_accident_session(&clip, LearnerKind::paper_weighted_rf());
-        let dd = run_accident_session(&clip, LearnerKind::DiverseDensity { scale: 8.0 });
-        let emdd = run_accident_session(&clip, LearnerKind::EmDd { scale: 8.0 });
-        let misvm = run_accident_session(&clip, LearnerKind::MiSvm { c: 10.0 });
+        let ocsvm = paper_rounds(&clip, &accidents, LearnerKind::paper_ocsvm());
+        let wrf = paper_rounds(&clip, &accidents, LearnerKind::paper_weighted_rf());
+        let dd = paper_rounds(
+            &clip,
+            &accidents,
+            LearnerKind::DiverseDensity { scale: 8.0 },
+        );
+        let emdd = paper_rounds(&clip, &accidents, LearnerKind::EmDd { scale: 8.0 });
+        let misvm = paper_rounds(&clip, &accidents, LearnerKind::MiSvm { c: 10.0 });
         print_accuracy_table(
             &format!("MIL learner comparison — {name}"),
             &[&ocsvm, &wrf, &dd, &emdd, &misvm],

@@ -7,13 +7,14 @@
 //! weighted RF gains only ~10% overall and "keeps bouncing around
 //! between 35% and 50%".
 
-use tsvr_bench::{clip1, print_accuracy_table, run_accident_session, PAPER_SEED};
-use tsvr_core::LearnerKind;
+use tsvr_bench::{clip1, paper_rounds, print_accuracy_table, PAPER_SEED};
+use tsvr_core::{EventQuery, LearnerKind};
 
 fn main() {
+    let accidents = EventQuery::accidents();
     let clip = clip1(PAPER_SEED);
-    let mil = run_accident_session(&clip, LearnerKind::paper_ocsvm());
-    let wrf = run_accident_session(&clip, LearnerKind::paper_weighted_rf());
+    let mil = paper_rounds(&clip, &accidents, LearnerKind::paper_ocsvm());
+    let wrf = paper_rounds(&clip, &accidents, LearnerKind::paper_weighted_rf());
     print_accuracy_table(
         "Figure 8 — retrieval accuracy, clip 1 (tunnel, 2504 frames)",
         &[&mil, &wrf],

@@ -6,13 +6,14 @@
 //! "far better than that of the weighted RF method, in which
 //! performance degradation occurs right after the initial iteration".
 
-use tsvr_bench::{clip2, print_accuracy_table, run_accident_session, PAPER_SEED};
-use tsvr_core::LearnerKind;
+use tsvr_bench::{clip2, paper_rounds, print_accuracy_table, PAPER_SEED};
+use tsvr_core::{EventQuery, LearnerKind};
 
 fn main() {
+    let accidents = EventQuery::accidents();
     let clip = clip2(PAPER_SEED);
-    let mil = run_accident_session(&clip, LearnerKind::paper_ocsvm());
-    let wrf = run_accident_session(&clip, LearnerKind::paper_weighted_rf());
+    let mil = paper_rounds(&clip, &accidents, LearnerKind::paper_ocsvm());
+    let wrf = paper_rounds(&clip, &accidents, LearnerKind::paper_weighted_rf());
     print_accuracy_table(
         "Figure 9 — retrieval accuracy, clip 2 (intersection, 592 frames)",
         &[&mil, &wrf],

@@ -4,11 +4,13 @@
 //! U-turn and speeding queries on the paper clips — only the user's
 //! notion of "relevant" changes.
 
-use tsvr_bench::{clip1, clip2, paper_session, PAPER_SEED};
+use std::sync::Arc;
+
+use tsvr_bench::{clip1, clip2, paper_rounds, PAPER_SEED};
 use tsvr_core::pipeline::median_heuristic_gamma;
-use tsvr_core::{run_session, EventQuery, LearnerKind};
+use tsvr_core::{EventQuery, LearnerKind, Session};
 use tsvr_mil::qbe::QueryByExample;
-use tsvr_mil::{GroundTruthOracle, RetrievalSession, SessionConfig};
+use tsvr_mil::GroundTruthOracle;
 use tsvr_svm::Kernel;
 
 fn main() {
@@ -28,7 +30,7 @@ fn main() {
             EventQuery::u_turns(),
             EventQuery::speeding(),
         ] {
-            let report = run_session(&clip, &query, LearnerKind::paper_ocsvm(), paper_session());
+            let report = paper_rounds(&clip, &query, LearnerKind::paper_ocsvm());
             if report.relevant_total == 0 {
                 println!("{:<12}{:>10}  (no such events in this clip)", query.name, 0);
                 continue;
@@ -62,12 +64,10 @@ fn main() {
     });
     qbe.add_example_bag(&clip.bags[example]);
     let oracle = GroundTruthOracle::new(labels);
-    let cfg = SessionConfig {
-        top_n: 20,
-        feedback_rounds: 4,
-        initial_from_learner: true, // start from the example, not the heuristic
-    };
-    let (report, _) = RetrievalSession::new(&clip.bags, qbe, &oracle, cfg).run();
+    // Seeded: the first page comes from the example, not the heuristic.
+    let report = Session::seeded(0, 0, query.name, Box::new(qbe), Arc::new(clip.bags))
+        .run_rounds(&oracle, 20, 4)
+        .expect("ranked windows are in the clip");
     println!("\nspeeding on clip 1, seeded with example window {example} (query by example):");
     println!(
         "  rounds: {}  (vs 0% flat for the heuristic-bootstrapped session)",

@@ -30,8 +30,8 @@
 //! rounds (used by `scripts/ci.sh`).
 
 use tsvr_bench::harness::{fast_mode, host, median, time_ns, Report};
-use tsvr_bench::{paper_session, PAPER_SEED};
-use tsvr_core::{prepare_clip, run_session, EventQuery, LearnerKind, PipelineOptions};
+use tsvr_bench::{paper_rounds, PAPER_SEED};
+use tsvr_core::{prepare_clip, EventQuery, LearnerKind, PipelineOptions};
 use tsvr_obs::json::Json;
 use tsvr_sim::Scenario;
 
@@ -57,15 +57,8 @@ fn main() {
     let prepare = || prepare_clip(&scenario, &opts);
 
     let clip = prepare();
-    let cfg = paper_session();
-    let session = || {
-        run_session(
-            &clip,
-            &EventQuery::accidents(),
-            LearnerKind::paper_ocsvm(),
-            cfg,
-        )
-    };
+    let accidents = EventQuery::accidents();
+    let session = || paper_rounds(&clip, &accidents, LearnerKind::paper_ocsvm());
 
     // Warm both configurations before measuring so first-touch costs
     // (lazy thread-count resolution, allocator growth) hit no round.

@@ -7,18 +7,19 @@
 //! what the paper could not: recall@20 and average precision per round,
 //! for both clips and both methods.
 
-use tsvr_bench::{clip1, clip2, run_accident_session, PAPER_SEED};
+use tsvr_bench::{clip1, clip2, paper_rounds, PAPER_SEED};
 use tsvr_core::{EventQuery, LearnerKind};
 use tsvr_mil::metrics::{average_precision, recall_at};
 
 fn main() {
+    let accidents = EventQuery::accidents();
     println!("Precision/recall analysis (ground truth known — see paper §6.2)");
     println!("================================================================");
     for (name, clip) in [
         ("clip 1 (tunnel)", clip1(PAPER_SEED)),
         ("clip 2 (intersection)", clip2(PAPER_SEED)),
     ] {
-        let labels = clip.labels(&EventQuery::accidents());
+        let labels = clip.labels(&accidents);
         println!(
             "\n{name}: {} relevant of {} windows",
             labels.iter().filter(|&&l| l).count(),
@@ -29,7 +30,7 @@ fn main() {
             "method", "round", "acc@20", "recall@20", "AP"
         );
         for kind in [LearnerKind::paper_ocsvm(), LearnerKind::paper_weighted_rf()] {
-            let report = run_accident_session(&clip, kind);
+            let report = paper_rounds(&clip, &accidents, kind);
             for (round, ranking) in report.rankings.iter().enumerate() {
                 println!(
                     "{:<20}{:>7}{:>9.0}%{:>11.0}%{:>9.3}",

@@ -3,10 +3,11 @@
 //! several seeds and reports the per-round mean accuracy (and the
 //! MIL-vs-baseline verdict per seed).
 
-use tsvr_bench::{clip1, clip2, run_accident_session};
-use tsvr_core::LearnerKind;
+use tsvr_bench::{clip1, clip2, paper_rounds};
+use tsvr_core::{EventQuery, LearnerKind};
 
 fn main() {
+    let accidents = EventQuery::accidents();
     let seeds = [2007u64, 101, 202, 303, 404];
     for (name, make) in [
         ("clip 1 (tunnel)", clip1 as fn(u64) -> _),
@@ -22,9 +23,9 @@ fn main() {
         let mut wins = 0;
         for &seed in &seeds {
             let clip = make(seed);
-            let mil = run_accident_session(&clip, LearnerKind::paper_ocsvm());
-            let wrf = run_accident_session(&clip, LearnerKind::paper_weighted_rf());
-            let fmt = |r: &tsvr_mil::SessionReport| {
+            let mil = paper_rounds(&clip, &accidents, LearnerKind::paper_ocsvm());
+            let wrf = paper_rounds(&clip, &accidents, LearnerKind::paper_weighted_rf());
+            let fmt = |r: &tsvr_core::SessionReport| {
                 r.accuracies
                     .iter()
                     .map(|a| format!("{:>3.0}", a * 100.0))

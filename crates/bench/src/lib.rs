@@ -5,10 +5,12 @@
 
 pub mod harness;
 
+use std::sync::Arc;
+
 use tsvr_core::{
-    prepare_clip, run_session, ClipArtifacts, EventQuery, LearnerKind, PipelineOptions,
+    prepare_clip, ClipArtifacts, EventQuery, LearnerKind, PipelineOptions, Session, SessionReport,
 };
-use tsvr_mil::{SessionConfig, SessionReport};
+use tsvr_mil::GroundTruthOracle;
 use tsvr_sim::Scenario;
 
 /// The seed used by all headline experiments (fixed for
@@ -28,18 +30,19 @@ pub fn clip2(seed: u64) -> ClipArtifacts {
     )
 }
 
-/// The paper's session protocol: top 20, four feedback rounds.
-pub fn paper_session() -> SessionConfig {
-    SessionConfig {
-        top_n: 20,
-        feedback_rounds: 4,
-        ..SessionConfig::default()
-    }
-}
-
-/// Runs the accident query with a learner over a prepared clip.
-pub fn run_accident_session(clip: &ClipArtifacts, learner: LearnerKind) -> SessionReport {
-    run_session(clip, &EventQuery::accidents(), learner, paper_session())
+/// Runs the paper's protocol (§6) for `query` with a learner over a
+/// prepared clip: the heuristic first page, then four rounds in which
+/// the ground-truth oracle labels the top 20. The session is never
+/// stored, so its session and clip ids are 0.
+pub fn paper_rounds(
+    clip: &ClipArtifacts,
+    query: &EventQuery,
+    learner: LearnerKind,
+) -> SessionReport {
+    let oracle = GroundTruthOracle::new(clip.labels(query));
+    Session::open(0, 0, query.name, learner, Arc::new(clip.bags.clone()))
+        .run_rounds(&oracle, 20, 4)
+        .expect("ranked windows are in the clip")
 }
 
 /// Formats an accuracy series like the paper's round labels.

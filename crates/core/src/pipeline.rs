@@ -1,13 +1,10 @@
-//! End-to-end clip preparation and retrieval sessions.
+//! End-to-end clip preparation and the learner kinds sessions build.
 
 use crate::labels::label_windows;
 use crate::query::EventQuery;
 use tsvr_mil::dd::{DiverseDensityLearner, EmDdLearner};
 use tsvr_mil::MiSvmLearner;
-use tsvr_mil::{
-    Bag, GroundTruthOracle, Instance, Learner, Normalization, OcSvmMilLearner, RetrievalSession,
-    SessionConfig, SessionReport, WeightedRfLearner,
-};
+use tsvr_mil::{Bag, Instance, Learner, Normalization, OcSvmMilLearner, WeightedRfLearner};
 use tsvr_sim::world::SimOutput;
 use tsvr_sim::{Scenario, ScenarioKind, World};
 use tsvr_svm::Kernel;
@@ -259,23 +256,12 @@ impl LearnerKind {
     }
 }
 
-/// Runs one interactive retrieval session over a prepared clip.
-pub fn run_session(
-    clip: &ClipArtifacts,
-    query: &EventQuery,
-    learner: LearnerKind,
-    config: SessionConfig,
-) -> SessionReport {
-    let _span = tsvr_obs::tspan!("core.run_session");
-    let oracle = GroundTruthOracle::new(clip.labels(query));
-    let (report, _) =
-        RetrievalSession::new(&clip.bags, learner.build_for(&clip.bags), &oracle, config).run();
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Session, SessionReport};
+    use std::sync::Arc;
+    use tsvr_mil::GroundTruthOracle;
 
     fn small_clip() -> ClipArtifacts {
         prepare_clip(&Scenario::tunnel_small(31), &PipelineOptions::default())
@@ -312,19 +298,20 @@ mod tests {
         assert!(relevant < labels.len(), "everything relevant");
     }
 
+    /// Runs `rounds` accident-oracle rounds of top-5 feedback.
+    fn run_rounds(clip: &ClipArtifacts, kind: LearnerKind, rounds: usize) -> SessionReport {
+        let query = EventQuery::accidents();
+        let oracle = GroundTruthOracle::new(clip.labels(&query));
+        let bags = Arc::new(clip.bags.clone());
+        Session::open(1, 1, query.name, kind, bags)
+            .run_rounds(&oracle, 5, rounds)
+            .unwrap()
+    }
+
     #[test]
     fn ocsvm_session_runs_end_to_end() {
         let clip = small_clip();
-        let report = run_session(
-            &clip,
-            &EventQuery::accidents(),
-            LearnerKind::paper_ocsvm(),
-            SessionConfig {
-                top_n: 5,
-                feedback_rounds: 2,
-                ..SessionConfig::default()
-            },
-        );
+        let report = run_rounds(&clip, LearnerKind::paper_ocsvm(), 2);
         assert_eq!(report.accuracies.len(), 3);
         assert_eq!(report.learner, "MIL_OneClassSVM");
         for &a in &report.accuracies {
@@ -335,11 +322,6 @@ mod tests {
     #[test]
     fn all_learner_kinds_run() {
         let clip = small_clip();
-        let cfg = SessionConfig {
-            top_n: 5,
-            feedback_rounds: 1,
-            ..SessionConfig::default()
-        };
         for kind in [
             LearnerKind::paper_ocsvm(),
             LearnerKind::paper_weighted_rf(),
@@ -348,7 +330,7 @@ mod tests {
             LearnerKind::DiverseDensity { scale: 4.0 },
             LearnerKind::EmDd { scale: 4.0 },
         ] {
-            let report = run_session(&clip, &EventQuery::accidents(), kind, cfg);
+            let report = run_rounds(&clip, kind, 1);
             assert_eq!(report.accuracies.len(), 2, "{:?}", kind);
         }
     }

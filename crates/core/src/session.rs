@@ -1,5 +1,6 @@
 //! Live retrieval sessions: the paper's interactive protocol (§5.3) as
-//! one type that the service, the CLI and session replay all drive.
+//! one type that the service, the CLI, session replay and the paper's
+//! experiments all drive.
 //!
 //! The initial page ranks by the event heuristic; each later round
 //! labels the top of the page, retrains the learner and re-ranks. A
@@ -7,13 +8,17 @@
 //! [`Session::feedback`] returns the full-history [`SessionRow`] the
 //! caller stores, and [`Session::resume`] replays it through a fresh
 //! (deterministic) learner to the exact ranking the session last had.
+//! [`Session::run_rounds`] is the paper's simulated user (§6): an
+//! oracle labels each page through that same `feedback`, and the
+//! rounds' accuracies come back as a [`SessionReport`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::pipeline::LearnerKind;
+use tsvr_mil::metrics::{accuracy_at, accuracy_ceiling};
 use tsvr_mil::session::rank_scores;
-use tsvr_mil::{heuristic, Bag, Learner, Oracle, RetrievalSession, SessionConfig, SessionReport};
+use tsvr_mil::{heuristic, Bag, Learner, Oracle};
 use tsvr_viddb::SessionRow;
 
 /// Why a session could not be resumed or take a feedback round.
@@ -67,6 +72,30 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
+/// The accounting of one [`Session::run_rounds`] call. Index 0 of
+/// `rankings` and `accuracies` is the page the session had before the
+/// first round; index `r` is the page after round `r`.
+#[derive(Debug, Clone)]
+pub struct SessionReport {
+    /// Learner display name.
+    pub learner: &'static str,
+    /// Accuracy@n per page against the oracle's labels (`rounds + 1`
+    /// entries).
+    pub accuracies: Vec<f64>,
+    /// Full ranking per page (`rounds + 1` entries).
+    pub rankings: Vec<Vec<usize>>,
+    /// Per round, the relevant labels on windows the session had not
+    /// labelled before (`rounds` entries). The paper's OC-SVM skips
+    /// windows it has seen and trains on relevant ones only, so a round
+    /// with none leaves its ranking where it was: the feedback fixed
+    /// point.
+    pub new_relevant: Vec<usize>,
+    /// Number of relevant windows according to the oracle.
+    pub relevant_total: usize,
+    /// The accuracy ceiling imposed by relevant-window scarcity.
+    pub ceiling: f64,
+}
+
 /// One live retrieval session: the learner, the clip's bags, the
 /// current ranking, and its checkpoint row (id, clip, query, learner
 /// name and the full feedback history).
@@ -88,7 +117,24 @@ impl Session {
         kind: LearnerKind,
         bags: Arc<Vec<Bag>>,
     ) -> Session {
-        let mut session = Session::unranked(session_id, clip_id, query.into(), kind, bags);
+        let learner = kind.build_for(&bags);
+        let mut session = Session::unranked(session_id, clip_id, query.into(), learner, bags);
+        session.rank_by_heuristic();
+        session
+    }
+
+    /// Opens a session around a learner that arrives trained — query by
+    /// example, say — so its first page ranks by that learner instead
+    /// of the heuristic. [`Session::resume`] rebuilds learners from
+    /// their kind alone, so the seed does not survive a stored row.
+    pub fn seeded(
+        session_id: u64,
+        clip_id: u64,
+        query: impl Into<String>,
+        learner: Box<dyn Learner>,
+        bags: Arc<Vec<Bag>>,
+    ) -> Session {
+        let mut session = Session::unranked(session_id, clip_id, query.into(), learner, bags);
         session.rerank();
         session
     }
@@ -114,13 +160,23 @@ impl Session {
                 requested: kind.learner_name(),
             });
         }
-        let mut session =
-            Session::unranked(row.session_id, row.clip_id, row.query.clone(), kind, bags);
+        let learner = kind.build_for(&bags);
+        let mut session = Session::unranked(
+            row.session_id,
+            row.clip_id,
+            row.query.clone(),
+            learner,
+            bags,
+        );
         for round in &row.feedback {
             let labels: Vec<(usize, bool)> = round.iter().map(|&(w, r)| (w as usize, r)).collect();
             session.learn(&labels)?;
         }
-        session.rerank();
+        if session.rounds() == 0 {
+            session.rank_by_heuristic();
+        } else {
+            session.rerank();
+        }
         Ok(session)
     }
 
@@ -135,33 +191,71 @@ impl Session {
     }
 
     /// Runs `rounds` more feedback rounds in which `oracle` labels the
-    /// top `top_n` of each page (the paper's simulated user, §6),
-    /// through [`RetrievalSession`] and the session's own learner, and
-    /// appends each round to the history. Index 0 of the report is the
-    /// page the session had before the first round.
+    /// top `top_n` of each page (the paper's simulated user, §6: top 20,
+    /// four rounds). Each round goes through [`Session::feedback`], so
+    /// it is checked, learned and appended to the history exactly as a
+    /// served round is. The report's index 0 is the page the session
+    /// had before the first round.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use tsvr_core::{prepare_clip, EventQuery, LearnerKind, PipelineOptions, Session};
+    /// use tsvr_mil::GroundTruthOracle;
+    /// use tsvr_sim::Scenario;
+    ///
+    /// let clip = prepare_clip(&Scenario::tunnel_small(7), &PipelineOptions::default());
+    /// let query = EventQuery::accidents();
+    /// let oracle = GroundTruthOracle::new(clip.labels(&query));
+    /// let kind = LearnerKind::paper_ocsvm();
+    /// let mut session = Session::open(1, 1, query.name, kind, Arc::new(clip.bags));
+    /// let report = session.run_rounds(&oracle, 5, 2)?;
+    /// assert_eq!(report.accuracies.len(), 3); // the first page, then two rounds
+    /// assert_eq!(session.rounds(), 2);
+    /// # Ok::<(), tsvr_core::SessionError>(())
+    /// ```
     pub fn run_rounds(
         &mut self,
-        oracle: &impl Oracle,
+        oracle: &dyn Oracle,
         top_n: usize,
         rounds: usize,
     ) -> Result<SessionReport, SessionError> {
-        let config = SessionConfig {
-            top_n,
-            feedback_rounds: rounds,
-            initial_from_learner: self.ranks_by_learner(),
+        let _session_span = tsvr_obs::tspan!("mil.session");
+        let labels: Vec<bool> = (0..self.bags.len()).map(|w| oracle.label(w)).collect();
+        let accuracy = |ranking: &[usize]| {
+            let accuracy = accuracy_at(ranking, &labels, top_n);
+            tsvr_obs::histogram!("mil.accuracy_at_n_pct").record((accuracy * 100.0) as u64);
+            accuracy
         };
-        let (report, _) =
-            RetrievalSession::new(self.bags.as_slice(), &mut self.learner, oracle, config).run();
-        for page in &report.rankings[..rounds] {
-            let labels: Vec<(usize, bool)> = page
+        let mut labelled = vec![false; self.bags.len()];
+        for &(window, _) in self.row.feedback.iter().flatten() {
+            labelled[window as usize] = true;
+        }
+        let mut report = SessionReport {
+            learner: self.learner_name(),
+            accuracies: vec![accuracy(&self.ranking)],
+            rankings: vec![self.ranking.clone()],
+            new_relevant: Vec::with_capacity(rounds),
+            relevant_total: labels.iter().filter(|&&l| l).count(),
+            ceiling: accuracy_ceiling(&labels, top_n),
+        };
+        for _ in 0..rounds {
+            let _round_span = tsvr_obs::tspan!("mil.round");
+            let page: Vec<(usize, bool)> = self
+                .page(top_n)
                 .iter()
-                .take(top_n)
                 .map(|&w| (w, oracle.label(w)))
                 .collect();
-            let round = self.check_labels(&labels)?;
-            self.row.feedback.push(round);
+            self.feedback(&page)?;
+            // `feedback` checked every window against the clip.
+            let new_relevant = page
+                .iter()
+                .filter(|&&(w, relevant)| !std::mem::replace(&mut labelled[w], true) && relevant)
+                .count();
+            report.accuracies.push(accuracy(&self.ranking));
+            tsvr_obs::counter!("mil.feedback.labels").add(page.len() as u64);
+            report.rankings.push(self.ranking.clone());
+            report.new_relevant.push(new_relevant);
         }
-        self.ranking.clone_from(&report.rankings[rounds]);
         Ok(report)
     }
 
@@ -225,15 +319,14 @@ impl Session {
         &self.bags
     }
 
-    /// A session with no rounds and no ranking yet; callers rerank.
+    /// A session with no rounds and no ranking yet; callers rank it.
     fn unranked(
         session_id: u64,
         clip_id: u64,
         query: String,
-        kind: LearnerKind,
+        learner: Box<dyn Learner>,
         bags: Arc<Vec<Bag>>,
     ) -> Session {
-        let learner = kind.build_for(&bags);
         Session {
             row: SessionRow {
                 session_id,
@@ -258,19 +351,14 @@ impl Session {
         Ok(())
     }
 
-    /// The protocol's ranking rule: the event heuristic until the first
-    /// feedback round, the learner's scores after.
-    fn ranks_by_learner(&self) -> bool {
-        self.rounds() > 0
+    /// The protocol's first page, before any feedback.
+    fn rank_by_heuristic(&mut self) {
+        self.ranking = rank_scores(&self.bags, &heuristic::bag_scores(&self.bags));
     }
 
+    /// Every page after the first (and a seeded session's first).
     fn rerank(&mut self) {
-        let scores = if self.ranks_by_learner() {
-            self.learner.score_all(&self.bags)
-        } else {
-            heuristic::bag_scores(&self.bags)
-        };
-        self.ranking = rank_scores(&self.bags, &scores);
+        self.ranking = rank_scores(&self.bags, &self.learner.score_all(&self.bags));
     }
 }
 
@@ -293,43 +381,61 @@ pub fn latest_checkpoints(rows: impl IntoIterator<Item = SessionRow>) -> BTreeMa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{prepare_clip, run_session, ClipArtifacts, PipelineOptions};
+    use crate::pipeline::{prepare_clip, PipelineOptions};
     use crate::query::EventQuery;
-    use tsvr_mil::GroundTruthOracle;
+    use tsvr_mil::{GroundTruthOracle, Instance, Normalization, OcSvmMilLearner};
     use tsvr_sim::Scenario;
+    use tsvr_svm::Kernel;
 
-    fn clip(seed: u64) -> (ClipArtifacts, Arc<Vec<Bag>>) {
+    /// A tunnel clip's bags and its accident oracle.
+    fn clip(seed: u64) -> (Arc<Vec<Bag>>, GroundTruthOracle) {
         let clip = prepare_clip(&Scenario::tunnel_small(seed), &PipelineOptions::default());
-        let bags = Arc::new(clip.bags.clone());
-        (clip, bags)
+        let oracle = GroundTruthOracle::new(clip.labels(&EventQuery::accidents()));
+        (Arc::new(clip.bags), oracle)
     }
 
-    /// The checkpoint row an independent batch session would have
-    /// stored after `rounds` oracle-labelled rounds.
-    fn session_row_from(
-        report: &SessionReport,
-        oracle: &GroundTruthOracle,
-        top_n: usize,
-        rounds: usize,
-    ) -> SessionRow {
-        SessionRow {
-            session_id: 1,
-            clip_id: 1,
-            query: "accident".into(),
-            learner: report.learner.into(),
-            feedback: report
-                .rankings
-                .iter()
-                .take(rounds)
-                .map(|r| {
-                    r.iter()
-                        .take(top_n)
-                        .map(|&w| (u32::try_from(w).unwrap(), oracle.label(w)))
-                        .collect()
-                })
-                .collect(),
-            accuracies: report.accuracies.clone(),
+    /// A synthetic database: `n_hot` bags carry an accident-like
+    /// instance, the rest only quiet traffic. Deterministic jitter makes
+    /// bags distinct.
+    fn database(n_bags: usize, n_hot: usize) -> (Arc<Vec<Bag>>, GroundTruthOracle) {
+        let mut bags = Vec::new();
+        let mut labels = Vec::new();
+        for i in 0..n_bags {
+            let j = (i as f64 * 0.618).fract() * 0.05;
+            let quiet = Instance::new(
+                (i * 10) as u64,
+                vec![
+                    vec![0.02 + j, 0.01, 0.0],
+                    vec![0.01, 0.03 + j, 0.01],
+                    vec![0.0, 0.02, 0.02 + j],
+                ],
+            );
+            let mut instances = vec![quiet];
+            let hot = i < n_hot;
+            if hot {
+                instances.push(Instance::new(
+                    (i * 10 + 1) as u64,
+                    vec![
+                        vec![0.05, 0.1, 0.02],
+                        vec![0.3 + j, 0.8 + j, 0.6],
+                        vec![0.2, 0.3, 0.1 + j],
+                    ],
+                ));
+            }
+            bags.push(Bag::new(i, instances));
+            labels.push(hot);
         }
+        (Arc::new(bags), GroundTruthOracle::new(labels))
+    }
+
+    /// An OC-SVM with a fixed kernel width, for the synthetic bags.
+    const OCSVM: LearnerKind = LearnerKind::OcSvm {
+        gamma: 2.0,
+        z: 0.05,
+    };
+
+    fn open(kind: LearnerKind, bags: &Arc<Vec<Bag>>) -> Session {
+        Session::open(1, 1, "accident", kind, Arc::clone(bags))
     }
 
     fn row(learner: &str, feedback: Vec<Vec<(u32, bool)>>) -> SessionRow {
@@ -344,32 +450,180 @@ mod tests {
     }
 
     #[test]
-    fn resume_reproduces_the_original_final_ranking() {
-        let (clip, bags) = clip(61);
-        let query = EventQuery::accidents();
-        let oracle = GroundTruthOracle::new(clip.labels(&query));
-        let cfg = SessionConfig {
-            top_n: 5,
-            feedback_rounds: 3,
-            ..SessionConfig::default()
-        };
-        let report = run_session(&clip, &query, LearnerKind::paper_ocsvm(), cfg);
-        let row = session_row_from(&report, &oracle, cfg.top_n, cfg.feedback_rounds);
+    fn ocsvm_session_improves_or_holds_accuracy() {
+        let (bags, oracle) = database(60, 8);
+        let report = open(OCSVM, &bags).run_rounds(&oracle, 10, 4).unwrap();
+        assert_eq!(report.accuracies.len(), 5);
+        assert_eq!(report.rankings.len(), 5);
+        assert_eq!(report.new_relevant.len(), 4);
+        // All 8 hot bags fit in the top 10: ceiling 0.8.
+        assert!((report.ceiling - 0.8).abs() < 1e-12);
+        // The easy separable case should end at the ceiling.
+        let last = *report.accuracies.last().unwrap();
+        assert!(
+            last >= report.accuracies[0],
+            "accuracy regressed: {:?}",
+            report.accuracies
+        );
+        assert!(last >= 0.7, "final accuracy {last}");
+    }
 
-        // Resume in a "new process": the ranking is the batch session's.
-        let session = Session::resume(&row, Some(LearnerKind::paper_ocsvm()), bags).unwrap();
+    #[test]
+    fn weighted_rf_session_runs_and_reports() {
+        let (bags, oracle) = database(40, 5);
+        let kind = LearnerKind::WeightedRf(Normalization::Percentage);
+        let report = open(kind, &bags).run_rounds(&oracle, 10, 3).unwrap();
+        assert_eq!(report.accuracies.len(), 4);
+        assert_eq!(report.learner, "Weighted_RF");
+        assert_eq!(report.relevant_total, 5);
+    }
+
+    #[test]
+    fn initial_round_identical_across_learners() {
+        // Paper: "the initial accuracies of the two methods are the same
+        // since the same retrieval algorithm is used in the initial
+        // round."
+        let (bags, oracle) = database(50, 6);
+        let ra = open(OCSVM, &bags).run_rounds(&oracle, 10, 1).unwrap();
+        let rb = open(LearnerKind::WeightedRf(Normalization::Percentage), &bags)
+            .run_rounds(&oracle, 10, 1)
+            .unwrap();
+        assert_eq!(ra.rankings[0], rb.rankings[0]);
+        assert_eq!(ra.accuracies[0], rb.accuracies[0]);
+    }
+
+    #[test]
+    fn session_with_no_relevant_bags_degrades_gracefully() {
+        let (bags, oracle) = database(20, 0);
+        let report = open(OCSVM, &bags).run_rounds(&oracle, 20, 4).unwrap();
+        assert!(report.accuracies.iter().all(|&a| a == 0.0));
+        assert_eq!(report.relevant_total, 0);
+        assert_eq!(report.ceiling, 0.0);
+        assert_eq!(report.new_relevant, vec![0; 4]);
+    }
+
+    #[test]
+    fn top_n_larger_than_database_is_safe() {
+        let (bags, oracle) = database(5, 2);
+        let report = open(OCSVM, &bags).run_rounds(&oracle, 50, 2).unwrap();
+        // Accuracy is diluted by the empty page slots but well-defined.
+        assert!((report.accuracies[0] - 2.0 / 50.0).abs() < 1e-12);
+        assert_eq!(report.rankings[0].len(), 5);
+        // Round 1 labels every window; round 2 has nothing new.
+        assert_eq!(report.new_relevant, vec![2, 0]);
+    }
+
+    #[test]
+    fn seeded_first_page_differs_from_the_heuristic_page() {
+        let (bags, oracle) = database(20, 4);
+        // Pre-train a learner on known feedback, then seed a session
+        // with it: its first page must differ from the heuristic's.
+        let mut learner = OcSvmMilLearner::new(Kernel::Rbf { gamma: 6.0 });
+        let fb: Vec<(usize, bool)> = (0..8).map(|i| (i, i < 4)).collect();
+        learner.learn(&bags, &fb);
+        let mut seeded = Session::seeded(1, 1, "accident", Box::new(learner), Arc::clone(&bags));
+        let report = seeded.run_rounds(&oracle, 5, 0).unwrap();
+        assert_eq!(report.rankings[0], seeded.ranking());
+        assert_ne!(report.rankings[0], open(OCSVM, &bags).ranking());
+    }
+
+    #[test]
+    fn zero_feedback_rounds_is_initial_only() {
+        let (bags, oracle) = database(20, 3);
+        let mut session = open(OCSVM, &bags);
+        let report = session.run_rounds(&oracle, 5, 0).unwrap();
+        assert_eq!(report.accuracies.len(), 1);
+        assert!(report.new_relevant.is_empty());
+        assert_eq!(session.rounds(), 0);
+    }
+
+    #[test]
+    fn run_rounds_is_feedback_by_hand() {
+        let (bags, oracle) = clip(64);
+        let (top_n, rounds) = (5, 3);
+        let mut live = open(LearnerKind::paper_ocsvm(), &bags);
+        let report = live.run_rounds(&oracle, top_n, rounds).unwrap();
+
+        // The same oracle labels fed through `feedback` by hand.
+        let mut by_hand = open(LearnerKind::paper_ocsvm(), &bags);
+        let labels = oracle.labels();
+        let mut rankings = vec![by_hand.ranking().to_vec()];
+        for _ in 0..rounds {
+            let page: Vec<(usize, bool)> = by_hand
+                .page(top_n)
+                .iter()
+                .map(|&w| (w, labels[w]))
+                .collect();
+            by_hand.feedback(&page).unwrap();
+            rankings.push(by_hand.ranking().to_vec());
+        }
+        assert_eq!(report.rankings, rankings);
+        let accuracies: Vec<f64> = rankings
+            .iter()
+            .map(|r| accuracy_at(r, labels, top_n))
+            .collect();
+        assert_eq!(report.accuracies, accuracies);
+        assert_eq!(live.row().feedback, by_hand.row().feedback);
+        assert_eq!(live.ranking(), report.rankings[rounds].as_slice());
+
+        // Its row resumes to its final ranking.
+        let resumed = Session::resume(live.row(), None, bags).unwrap();
+        assert_eq!(resumed.ranking(), report.rankings[rounds].as_slice());
+    }
+
+    #[test]
+    fn rounds_without_new_relevant_labels_leave_the_ranking() {
+        // The feedback fixed point: the paper's OC-SVM skips windows it
+        // has seen, and δ = 1 − (h/H + z) moves only when a relevant
+        // window is collected, so a round that labels no new relevant
+        // window re-ranks to the previous page. That page is then
+        // labelled already, so every later round repeats it.
+        let (bags, oracle) = clip(61);
+        let report = open(LearnerKind::paper_ocsvm(), &bags)
+            .run_rounds(&oracle, 5, 6)
+            .unwrap();
+        let first_fixed = report
+            .new_relevant
+            .iter()
+            .position(|&new| new == 0)
+            .expect("a round without new relevant labels");
+        for (round, &new) in report.new_relevant.iter().enumerate() {
+            if new == 0 {
+                assert_eq!(
+                    report.rankings[round + 1],
+                    report.rankings[round],
+                    "round {} labelled nothing new but moved the ranking",
+                    round + 1
+                );
+            }
+        }
+        assert!(report.new_relevant[first_fixed..]
+            .iter()
+            .all(|&new| new == 0));
+        assert!(report.new_relevant.iter().sum::<usize>() <= report.relevant_total);
+    }
+
+    #[test]
+    fn resume_reproduces_the_original_final_ranking() {
+        let (bags, oracle) = clip(61);
+        let mut original = open(LearnerKind::paper_ocsvm(), &bags);
+        let report = original.run_rounds(&oracle, 5, 3).unwrap();
+
+        // Resume in a "new process": the ranking is the original's.
+        let session =
+            Session::resume(original.row(), Some(LearnerKind::paper_ocsvm()), bags).unwrap();
         assert_eq!(
             session.ranking(),
             report.rankings.last().unwrap().as_slice(),
             "resumed learner ranks differently from the original session"
         );
         assert_eq!(session.rounds(), 3);
-        assert_eq!(session.row().feedback, row.feedback);
+        assert_eq!(session.row().feedback, original.row().feedback);
     }
 
     #[test]
     fn resume_through_wrong_learner_is_a_typed_error() {
-        let (_, bags) = clip(61);
+        let (bags, _) = clip(61);
         let row = row("MIL_OneClassSVM", vec![vec![(0, true)]]);
         // An OC-SVM session resumed through weighted_rf must refuse, not
         // silently build a wrong model.
@@ -403,21 +657,12 @@ mod tests {
 
     #[test]
     fn continuing_a_session_does_not_regress() {
-        let (clip, bags) = clip(62);
-        let query = EventQuery::accidents();
-        let oracle = GroundTruthOracle::new(clip.labels(&query));
-        let cfg = SessionConfig {
-            top_n: 5,
-            feedback_rounds: 2,
-            ..SessionConfig::default()
-        };
-        let report = run_session(&clip, &query, LearnerKind::paper_ocsvm(), cfg);
-        let row = session_row_from(&report, &oracle, cfg.top_n, cfg.feedback_rounds);
+        let (bags, oracle) = clip(62);
+        let mut original = open(LearnerKind::paper_ocsvm(), &bags);
+        let report = original.run_rounds(&oracle, 5, 2).unwrap();
 
-        let continued = Session::resume(&row, None, bags)
-            .unwrap()
-            .run_rounds(&oracle, 5, 2)
-            .unwrap();
+        let mut resumed = Session::resume(original.row(), None, bags).unwrap();
+        let continued = resumed.run_rounds(&oracle, 5, 2).unwrap();
         // The continued session starts where the stored one ended.
         let stored_final = *report.accuracies.last().unwrap();
         assert!(
@@ -427,11 +672,18 @@ mod tests {
             stored_final
         );
         assert_eq!(continued.accuracies.len(), 3);
+        assert_eq!(resumed.rounds(), 4);
+        // Windows the stored rounds labelled are not new again.
+        assert!(
+            report.new_relevant.iter().sum::<usize>()
+                + continued.new_relevant.iter().sum::<usize>()
+                <= report.relevant_total
+        );
     }
 
     #[test]
     fn resume_with_empty_feedback_is_the_heuristic_page() {
-        let (_, bags) = clip(63);
+        let (bags, _) = clip(63);
         let session =
             Session::resume(&row("MIL_OneClassSVM", vec![]), None, Arc::clone(&bags)).unwrap();
         let heuristic = rank_scores(&bags, &heuristic::bag_scores(&bags));
@@ -441,32 +693,8 @@ mod tests {
     }
 
     #[test]
-    fn oracle_rounds_match_the_batch_session() {
-        let (clip, bags) = clip(64);
-        let query = EventQuery::accidents();
-        let oracle = GroundTruthOracle::new(clip.labels(&query));
-        let cfg = SessionConfig {
-            top_n: 5,
-            feedback_rounds: 3,
-            ..SessionConfig::default()
-        };
-        let batch = run_session(&clip, &query, LearnerKind::paper_ocsvm(), cfg);
-        let mut live = Session::open(1, 1, "accident", LearnerKind::paper_ocsvm(), bags);
-        let report = live
-            .run_rounds(&oracle, cfg.top_n, cfg.feedback_rounds)
-            .unwrap();
-        assert_eq!(report.rankings, batch.rankings);
-        assert_eq!(report.accuracies, batch.accuracies);
-        assert_eq!(report.relevant_total, batch.relevant_total);
-        assert_eq!(
-            live.row().feedback,
-            session_row_from(&batch, &oracle, cfg.top_n, cfg.feedback_rounds).feedback
-        );
-    }
-
-    #[test]
     fn out_of_range_labels_are_rejected_before_training() {
-        let (_, bags) = clip(61);
+        let (bags, _) = clip(61);
         let windows = bags.len();
         let mut session = Session::open(1, 1, "accident", LearnerKind::paper_ocsvm(), bags);
         let before = session.ranking().to_vec();

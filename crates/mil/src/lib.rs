@@ -20,8 +20,9 @@
 //!   by inverse standard deviation with three normalization schemes
 //!   (§6.2);
 //! * [`oracle`] — relevance oracles standing in for the human user;
-//! * [`session`] — the iterative retrieval loop (rank → top-n feedback →
-//!   learn → re-rank) and its accuracy trace;
+//! * [`session`] — the [`Learner`] interface and the deterministic
+//!   ranking rule; the round loop (rank → top-n feedback → learn →
+//!   re-rank) is `tsvr_core::Session`;
 //! * [`metrics`] — accuracy@n and auxiliary retrieval metrics;
 //! * [`dd`] — Diverse Density and EM-DD reference baselines from the MIL
 //!   literature the paper reviews (§2.1);
@@ -52,5 +53,5 @@ pub use misvm::MiSvmLearner;
 pub use ocsvm::OcSvmMilLearner;
 pub use oracle::{GroundTruthOracle, Oracle};
 pub use qbe::QueryByExample;
-pub use session::{Learner, RetrievalSession, SessionConfig, SessionReport};
+pub use session::Learner;
 pub use weighted_rf::{Normalization, WeightedRfLearner};

@@ -5,11 +5,12 @@
 //!
 //! Run with: `cargo run --release --example advanced_queries`
 
+use std::sync::Arc;
 use tsvr::core::pipeline::median_heuristic_gamma;
-use tsvr::core::{prepare_clip, EventQuery, PipelineOptions, SketchQuery};
+use tsvr::core::{prepare_clip, EventQuery, PipelineOptions, Session, SketchQuery};
 use tsvr::mil::qbe::QueryByExample;
 use tsvr::mil::session::rank_by;
-use tsvr::mil::{GroundTruthOracle, Learner, Oracle, RetrievalSession, SessionConfig};
+use tsvr::mil::{GroundTruthOracle, Learner, Oracle};
 use tsvr::sim::Scenario;
 use tsvr::svm::Kernel;
 
@@ -40,12 +41,10 @@ fn main() {
 
     // Or the full interactive session, seeded by the example (the
     // initial page comes from the example, later pages refine it):
-    let cfg = SessionConfig {
-        top_n: 20,
-        feedback_rounds: 2,
-        initial_from_learner: true,
-    };
-    let (report, _) = RetrievalSession::new(&clip.bags, qbe, &oracle, cfg).run();
+    let bags = Arc::new(clip.bags.clone());
+    let report = Session::seeded(0, 0, "accident", Box::new(qbe), bags)
+        .run_rounds(&oracle, 20, 2)
+        .expect("pages hold clip windows");
     println!(
         "  with 2 feedback rounds on top: {:?}",
         report

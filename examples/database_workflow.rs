@@ -7,9 +7,9 @@
 
 use tsvr::core::{
     archive_clip_video, bags_from_dataset, bundle_from_clip, dataset_from_bundle,
-    labels_from_bundle, prepare_clip, EventQuery, LearnerKind, PipelineOptions,
+    labels_from_bundle, prepare_clip, EventQuery, LearnerKind, PipelineOptions, Session,
 };
-use tsvr::mil::{GroundTruthOracle, RetrievalSession, SessionConfig};
+use tsvr::mil::GroundTruthOracle;
 use tsvr::sim::Scenario;
 use tsvr::trajectory::WindowConfig;
 use tsvr::viddb::FrameCodec;
@@ -70,47 +70,26 @@ fn main() {
     let query = EventQuery::accidents();
     let labels = labels_from_bundle(&bundle, &query);
     let oracle = GroundTruthOracle::new(labels);
-    let cfg = SessionConfig {
-        top_n: 5,
-        feedback_rounds: 2,
-        ..SessionConfig::default()
-    };
-    let (report, _) = RetrievalSession::new(
-        &bags,
-        LearnerKind::paper_ocsvm().build_for(&bags),
-        &oracle,
-        cfg,
-    )
-    .run();
+    let kind = LearnerKind::paper_ocsvm();
+    let mut session = Session::open(9001, 1, query.name, kind, std::sync::Arc::new(bags));
+    let report = session
+        .run_rounds(&oracle, 5, 2)
+        .expect("pages hold clip windows");
     println!("\nsession over stored clip 1 ({}):", report.learner);
     for (round, acc) in report.accuracies.iter().enumerate() {
         println!("  round {round}: {:>4.0}%", acc * 100.0);
     }
 
     // --- persist the session ------------------------------------------------
+    // The session's row holds its full feedback history.
     db.put_session(&SessionRow {
-        session_id: 9001,
-        clip_id: 1,
-        query: query.name.into(),
-        learner: report.learner.into(),
-        feedback: report
-            .rankings
-            .iter()
-            .take(report.rankings.len() - 1)
-            .map(|ranking| {
-                ranking
-                    .iter()
-                    .take(cfg.top_n)
-                    .map(|&w| (w as u32, oracle_label(&oracle, w)))
-                    .collect()
-            })
-            .collect(),
         accuracies: report.accuracies.clone(),
+        ..session.row().clone()
     })
     .expect("persist session");
 
     // --- play back a retrieved window's frames -------------------------------
-    let top_window = report.rankings.last().unwrap()[0] as u32;
+    let top_window = session.ranking()[0] as u32;
     let (start, end) = {
         let w = &bundle.windows[top_window as usize];
         (w.start_frame, w.end_frame)
@@ -135,9 +114,4 @@ fn main() {
         sessions[0].accuracies
     );
     let _ = std::fs::remove_file(&path);
-}
-
-fn oracle_label(oracle: &GroundTruthOracle, w: usize) -> bool {
-    use tsvr::mil::Oracle;
-    oracle.label(w)
 }

@@ -5,11 +5,23 @@
 //!
 //! Run with: `cargo run --release --example intersection_collisions`
 
-use tsvr::core::{prepare_clip, run_session, EventQuery, LearnerKind, PipelineOptions};
-use tsvr::mil::SessionConfig;
+use std::sync::Arc;
+use tsvr::core::{
+    prepare_clip, ClipArtifacts, EventQuery, LearnerKind, PipelineOptions, Session, SessionReport,
+};
+use tsvr::mil::GroundTruthOracle;
 use tsvr::sim::Scenario;
 
-fn print_report(title: &str, r: &tsvr::mil::SessionReport) {
+/// Three rounds of top-10 feedback on `query` with the paper's OC-SVM.
+fn run_query(clip: &ClipArtifacts, query: &EventQuery) -> SessionReport {
+    let oracle = GroundTruthOracle::new(clip.labels(query));
+    let bags = Arc::new(clip.bags.clone());
+    Session::open(0, 0, query.name, LearnerKind::paper_ocsvm(), bags)
+        .run_rounds(&oracle, 10, 3)
+        .expect("pages hold clip windows")
+}
+
+fn print_report(title: &str, r: &SessionReport) {
     println!("\n{title} ({}):", r.learner);
     for (round, acc) in r.accuracies.iter().enumerate() {
         println!("  round {round}: {:>5.0}%", acc * 100.0);
@@ -34,32 +46,16 @@ fn main() {
         clip.dataset.sequence_count()
     );
 
-    let cfg = SessionConfig {
-        top_n: 10,
-        feedback_rounds: 3,
-        ..SessionConfig::default()
-    };
-
     // Query 1: multi-vehicle accidents (side collisions, rear-end
     // crashes) — the paper's evaluation query.
-    let accidents = run_session(
-        &clip,
-        &EventQuery::accidents(),
-        LearnerKind::paper_ocsvm(),
-        cfg,
-    );
+    let accidents = run_query(&clip, &EventQuery::accidents());
     print_report("accident query", &accidents);
 
     // Query 2: U-turns — the paper's §4 notes the event model "may also
     // be adjusted to detect U-turns, speeding and any other event that
     // involves the abnormal behavior of a vehicle". Nothing changes but
     // which windows the oracle (user) calls relevant.
-    let uturns = run_session(
-        &clip,
-        &EventQuery::u_turns(),
-        LearnerKind::paper_ocsvm(),
-        cfg,
-    );
+    let uturns = run_query(&clip, &EventQuery::u_turns());
     print_report("u-turn query", &uturns);
 
     println!("\nsame features, same learner — only the user's feedback differs between\nthe two queries. That is the point of the relevance-feedback design.");

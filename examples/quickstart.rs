@@ -4,8 +4,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use tsvr::core::{prepare_clip, run_session, EventQuery, LearnerKind, PipelineOptions};
-use tsvr::mil::SessionConfig;
+use std::sync::Arc;
+use tsvr::core::{prepare_clip, EventQuery, LearnerKind, PipelineOptions, Session};
+use tsvr::mil::GroundTruthOracle;
 use tsvr::sim::Scenario;
 
 fn main() {
@@ -30,16 +31,13 @@ fn main() {
     );
 
     // Interactive retrieval: 5 results per page, 2 feedback rounds.
-    let report = run_session(
-        &clip,
-        &EventQuery::accidents(),
-        LearnerKind::paper_ocsvm(),
-        SessionConfig {
-            top_n: 5,
-            feedback_rounds: 2,
-            ..SessionConfig::default()
-        },
-    );
+    let query = EventQuery::accidents();
+    let oracle = GroundTruthOracle::new(clip.labels(&query));
+    let bags = Arc::new(clip.bags.clone());
+    let mut session = Session::open(1, 1, query.name, LearnerKind::paper_ocsvm(), bags);
+    let report = session
+        .run_rounds(&oracle, 5, 2)
+        .expect("pages hold clip windows");
 
     println!("\nretrieval accuracy@5 per round ({}):", report.learner);
     for (round, acc) in report.accuracies.iter().enumerate() {
@@ -50,8 +48,5 @@ fn main() {
         };
         println!("  {label:<24} {:>5.0}%", acc * 100.0);
     }
-    println!(
-        "\ntop-5 windows of the final round: {:?}",
-        &report.rankings.last().unwrap()[..5.min(clip.bags.len())]
-    );
+    println!("\ntop-5 windows of the final round: {:?}", session.page(5));
 }

@@ -5,8 +5,9 @@
 //!
 //! Run with: `cargo run --release --example tunnel_accidents`
 
-use tsvr::core::{prepare_clip, run_session, EventQuery, LearnerKind, PipelineOptions};
-use tsvr::mil::SessionConfig;
+use std::sync::Arc;
+use tsvr::core::{prepare_clip, EventQuery, LearnerKind, PipelineOptions, Session};
+use tsvr::mil::GroundTruthOracle;
 use tsvr::sim::Scenario;
 
 fn main() {
@@ -30,9 +31,14 @@ fn main() {
         );
     }
 
-    let cfg = SessionConfig::default(); // top 20, 4 rounds — the paper's protocol
-    let mil = run_session(&clip, &query, LearnerKind::paper_ocsvm(), cfg);
-    let wrf = run_session(&clip, &query, LearnerKind::paper_weighted_rf(), cfg);
+    // The paper's protocol: top 20, four feedback rounds.
+    let oracle = GroundTruthOracle::new(clip.labels(&query));
+    let bags = Arc::new(clip.bags.clone());
+    let [mil, wrf] = [LearnerKind::paper_ocsvm(), LearnerKind::paper_weighted_rf()].map(|kind| {
+        Session::open(0, 0, query.name, kind, Arc::clone(&bags))
+            .run_rounds(&oracle, 20, 4)
+            .expect("pages hold clip windows")
+    });
 
     println!("\naccuracy@20 per round:");
     println!(

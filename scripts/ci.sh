@@ -5,8 +5,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
+
+# The paper protocol end to end: Figs. 8 and 9 run the oracle-labelled
+# feedback rounds through `tsvr_core::Session`, the loop serve drives,
+# so a panic anywhere on that path fails here (about 4 s in release).
+echo "==> paper protocol (fig8, fig9)"
+for bin in fig8 fig9; do
+    ./target/release/"$bin"
+done
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace

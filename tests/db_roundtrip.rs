@@ -1,11 +1,12 @@
 //! Integration: the database path produces bit-identical retrieval
 //! behaviour to the in-memory path.
 
+use std::sync::Arc;
 use tsvr::core::{
     bags_from_dataset, bundle_from_clip, dataset_from_bundle, labels_from_bundle, prepare_clip,
-    EventQuery, LearnerKind, PipelineOptions,
+    EventQuery, LearnerKind, PipelineOptions, Session, SessionReport,
 };
-use tsvr::mil::{GroundTruthOracle, RetrievalSession, SessionConfig};
+use tsvr::mil::{Bag, GroundTruthOracle};
 use tsvr::sim::Scenario;
 use tsvr::trajectory::WindowConfig;
 use tsvr::viddb::{ClipMeta, SessionRow, VideoDb};
@@ -23,39 +24,27 @@ fn meta(clip_id: u64) -> ClipMeta {
     }
 }
 
+/// Two oracle rounds of top-5 feedback with the paper's OC-SVM.
+fn two_rounds(bags: Vec<Bag>, labels: Vec<bool>) -> SessionReport {
+    Session::open(1, 1, "accident", LearnerKind::paper_ocsvm(), Arc::new(bags))
+        .run_rounds(&GroundTruthOracle::new(labels), 5, 2)
+        .unwrap()
+}
+
 #[test]
 fn stored_clip_reproduces_session_results() {
     let clip = prepare_clip(&Scenario::tunnel_small(55), &PipelineOptions::default());
     let query = EventQuery::accidents();
-    let cfg = SessionConfig {
-        top_n: 5,
-        feedback_rounds: 2,
-        ..SessionConfig::default()
-    };
 
     // Direct session.
-    let oracle = GroundTruthOracle::new(clip.labels(&query));
-    let (direct, _) = RetrievalSession::new(
-        &clip.bags,
-        LearnerKind::paper_ocsvm().build_for(&clip.bags),
-        &oracle,
-        cfg,
-    )
-    .run();
+    let direct = two_rounds(clip.bags.clone(), clip.labels(&query));
 
     // Through the database.
     let mut db = VideoDb::in_memory();
     db.put_clip(&bundle_from_clip(&clip, meta(1))).unwrap();
     let bundle = db.load_clip(1).unwrap();
     let bags = bags_from_dataset(&dataset_from_bundle(&bundle, WindowConfig::default()));
-    let oracle2 = GroundTruthOracle::new(labels_from_bundle(&bundle, &query));
-    let (via_db, _) = RetrievalSession::new(
-        &bags,
-        LearnerKind::paper_ocsvm().build_for(&bags),
-        &oracle2,
-        cfg,
-    )
-    .run();
+    let via_db = two_rounds(bags, labels_from_bundle(&bundle, &query));
 
     assert_eq!(direct.accuracies, via_db.accuracies);
     assert_eq!(direct.rankings, via_db.rankings);

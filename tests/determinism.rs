@@ -1,8 +1,9 @@
 //! Integration: the entire system is a pure function of the scenario
 //! seed — the property every experiment in EXPERIMENTS.md relies on.
 
-use tsvr::core::{prepare_clip, run_session, EventQuery, LearnerKind, PipelineOptions};
-use tsvr::mil::SessionConfig;
+use std::sync::Arc;
+use tsvr::core::{prepare_clip, EventQuery, LearnerKind, PipelineOptions, Session};
+use tsvr::mil::GroundTruthOracle;
 use tsvr::sim::Scenario;
 
 #[test]
@@ -13,23 +14,14 @@ fn identical_seeds_identical_everything() {
     assert_eq!(a.vision.tracks, b.vision.tracks);
     assert_eq!(a.bags, b.bags);
 
-    let cfg = SessionConfig {
-        top_n: 5,
-        feedback_rounds: 2,
-        ..SessionConfig::default()
-    };
-    let ra = run_session(
-        &a,
-        &EventQuery::accidents(),
-        LearnerKind::paper_ocsvm(),
-        cfg,
-    );
-    let rb = run_session(
-        &b,
-        &EventQuery::accidents(),
-        LearnerKind::paper_ocsvm(),
-        cfg,
-    );
+    let query = EventQuery::accidents();
+    let oracle = GroundTruthOracle::new(a.labels(&query));
+    assert_eq!(oracle.labels(), b.labels(&query));
+    let [ra, rb] = [a.bags, b.bags].map(|bags| {
+        Session::open(1, 1, query.name, LearnerKind::paper_ocsvm(), Arc::new(bags))
+            .run_rounds(&oracle, 5, 2)
+            .unwrap()
+    });
     assert_eq!(ra.accuracies, rb.accuracies);
     assert_eq!(ra.rankings, rb.rankings);
 }

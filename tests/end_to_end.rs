@@ -1,16 +1,25 @@
 //! Cross-crate integration tests: the full pipeline from simulation to
 //! interactive retrieval, exercised through the public facade.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use tsvr::core::{
-    prepare_clip, run_session, ClipArtifacts, EventQuery, LearnerKind, PipelineOptions,
+    prepare_clip, ClipArtifacts, EventQuery, LearnerKind, PipelineOptions, Session, SessionReport,
 };
-use tsvr::mil::SessionConfig;
+use tsvr::mil::GroundTruthOracle;
 use tsvr::sim::{Scenario, World};
 
 fn shared_clip() -> &'static ClipArtifacts {
     static CLIP: OnceLock<ClipArtifacts> = OnceLock::new();
     CLIP.get_or_init(|| prepare_clip(&Scenario::tunnel_small(77), &PipelineOptions::default()))
+}
+
+/// `rounds` accident-oracle rounds of top-5 feedback over the clip.
+fn accident_rounds(clip: &ClipArtifacts, kind: LearnerKind, rounds: usize) -> SessionReport {
+    let query = EventQuery::accidents();
+    let oracle = GroundTruthOracle::new(clip.labels(&query));
+    Session::open(1, 1, query.name, kind, Arc::new(clip.bags.clone()))
+        .run_rounds(&oracle, 5, rounds)
+        .unwrap()
 }
 
 #[test]
@@ -71,16 +80,7 @@ fn accident_retrieval_beats_chance_after_feedback() {
     let labels = clip.labels(&EventQuery::accidents());
     let relevant = labels.iter().filter(|&&l| l).count();
     assert!(relevant >= 2, "scenario scripted 2 accidents");
-    let report = run_session(
-        clip,
-        &EventQuery::accidents(),
-        LearnerKind::paper_ocsvm(),
-        SessionConfig {
-            top_n: 5,
-            feedback_rounds: 3,
-            ..SessionConfig::default()
-        },
-    );
+    let report = accident_rounds(clip, LearnerKind::paper_ocsvm(), 3);
     let base_rate = relevant as f64 / clip.bags.len() as f64;
     let final_acc = *report.accuracies.last().unwrap();
     assert!(
@@ -114,16 +114,7 @@ fn all_learners_complete_a_session() {
         LearnerKind::EmDd { scale: 8.0 },
         LearnerKind::MiSvm { c: 10.0 },
     ] {
-        let report = run_session(
-            clip,
-            &EventQuery::accidents(),
-            kind,
-            SessionConfig {
-                top_n: 5,
-                feedback_rounds: 2,
-                ..SessionConfig::default()
-            },
-        );
+        let report = accident_rounds(clip, kind, 2);
         assert_eq!(report.accuracies.len(), 3, "{kind:?}");
         // A ranking must be a permutation of bag ids.
         let mut last = report.rankings.last().unwrap().clone();

@@ -4,10 +4,10 @@
 //! mislabeled feedback. The one-class formulation with Eq. 9's δ should
 //! degrade gracefully rather than collapse.
 
-use std::sync::OnceLock;
-use tsvr::core::{prepare_clip, ClipArtifacts, EventQuery, LearnerKind, PipelineOptions};
+use std::sync::{Arc, OnceLock};
+use tsvr::core::{prepare_clip, ClipArtifacts, EventQuery, LearnerKind, PipelineOptions, Session};
 use tsvr::mil::oracle::NoisyOracle;
-use tsvr::mil::{GroundTruthOracle, Oracle, RetrievalSession, SessionConfig};
+use tsvr::mil::{GroundTruthOracle, Oracle};
 use tsvr::sim::Scenario;
 
 fn shared_clip() -> &'static ClipArtifacts {
@@ -19,22 +19,12 @@ fn run_with_error_rate(rate: f64, seed: u64) -> f64 {
     let clip = shared_clip();
     let truth = GroundTruthOracle::new(clip.labels(&EventQuery::accidents()));
     let noisy = NoisyOracle::new(truth.clone(), rate, seed);
-    let cfg = SessionConfig {
-        top_n: 5,
-        feedback_rounds: 3,
-        ..SessionConfig::default()
-    };
-    let (report, _) = RetrievalSession::new(
-        &clip.bags,
-        LearnerKind::paper_ocsvm().build_for(&clip.bags),
-        &noisy,
-        cfg,
-    )
-    .run();
+    let bags = Arc::new(clip.bags.clone());
+    let mut session = Session::open(1, 1, "accident", LearnerKind::paper_ocsvm(), bags);
+    session.run_rounds(&noisy, 5, 3).unwrap();
     // Score the final ranking against the TRUE labels, regardless of
     // the noisy labels used for training.
-    let labels = clip.labels(&EventQuery::accidents());
-    tsvr::mil::metrics::accuracy_at(report.rankings.last().unwrap(), &labels, 5)
+    tsvr::mil::metrics::accuracy_at(session.ranking(), truth.labels(), 5)
 }
 
 #[test]
