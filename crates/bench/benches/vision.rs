@@ -34,8 +34,12 @@ fn main() {
         bg.clone().subtract_and_update(black_box(&frame))
     });
 
-    let diff = frame.abs_diff(renderer.background());
-    let mask = bg.subtract(&frame);
+    let sub = bg.clone().subtract_and_update(&frame);
+    let diff = frame.abs_diff(&sub.background);
+    let mask = sub.mask.majority_filter(4);
+    b.bench("despeckle_320x240", || {
+        black_box(&sub.mask).majority_filter(4)
+    });
     b.bench("spcpe_refine_320x240", || {
         spcpe::refine(black_box(&diff), black_box(&mask))
     });
@@ -53,7 +57,7 @@ fn main() {
         .take(60)
         .map(|obs| {
             let frame = renderer.render(&obs.vehicles, obs.frame);
-            let mask = bg.subtract_and_update(&frame);
+            let mask = bg.subtract_and_update(&frame).mask.majority_filter(4);
             extract_blobs(&mask, 60, Some(&frame))
         })
         .collect();

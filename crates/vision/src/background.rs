@@ -4,8 +4,9 @@
 //! method" to isolate vehicle pixels. We reproduce the standard recipe:
 //! a per-pixel running-average background model learned over time (only
 //! from pixels currently believed to be background, so stopped vehicles
-//! do not burn in immediately), thresholded absolute difference, and a
-//! majority filter to despeckle the mask.
+//! do not burn in immediately) and a thresholded absolute difference.
+//! The caller despeckles the threshold mask with
+//! [`Mask::majority_filter`]; the model itself learns from the raw mask.
 
 use crate::frame::{GrayFrame, Mask};
 
@@ -19,6 +20,18 @@ pub struct BackgroundModel {
     pub alpha: f64,
     /// Foreground threshold in gray levels.
     pub threshold: f64,
+}
+
+/// One frame classified against the model, from
+/// [`BackgroundModel::subtract_and_update`].
+#[derive(Debug, Clone)]
+pub struct Subtraction {
+    /// Raw threshold mask, not yet despeckled: pixels farther than
+    /// `threshold` from the background estimate.
+    pub mask: Mask,
+    /// The background estimate the frame was classified against (the
+    /// model before this frame's update, clamped to gray levels).
+    pub background: GrayFrame,
 }
 
 impl BackgroundModel {
@@ -51,41 +64,25 @@ impl BackgroundModel {
     /// `alpha/20` (so long-stopped vehicles eventually merge into the
     /// background, as real systems do, but not within an event's
     /// duration).
-    pub fn subtract_and_update(&mut self, frame: &GrayFrame) -> Mask {
+    ///
+    /// One pass over the frame yields the raw mask and the pre-update
+    /// background estimate, so nothing else has to read the model.
+    pub fn subtract_and_update(&mut self, frame: &GrayFrame) -> Subtraction {
         assert_eq!(frame.width(), self.width);
         assert_eq!(frame.height(), self.height);
         let mut mask = Mask::empty(self.width, self.height);
+        let mut background = GrayFrame::black(self.width, self.height);
         let slow = self.alpha / 20.0;
-        for (i, (&p, m)) in frame.pixels().iter().zip(self.mean.iter_mut()).enumerate() {
-            let fg = (p as f64 - *m).abs() > self.threshold;
-            let rate = if fg { slow } else { self.alpha };
-            *m += rate * (p as f64 - *m);
-            if fg {
-                mask.as_mut_slice()[i] = true;
-            }
+        let pixels = frame.pixels().iter().zip(self.mean.iter_mut());
+        let outputs = mask.as_mut_slice().iter_mut().zip(background.pixels_mut());
+        for ((&p, m), (fg, est)) in pixels.zip(outputs) {
+            *est = m.clamp(0.0, 255.0) as u8;
+            let d = p as f64 - *m;
+            *fg = d.abs() > self.threshold;
+            let rate = if *fg { slow } else { self.alpha };
+            *m += rate * d;
         }
-        mask.majority_filter(4)
-    }
-
-    /// Foreground classification without model update.
-    pub fn subtract(&self, frame: &GrayFrame) -> Mask {
-        assert_eq!(frame.width(), self.width);
-        let mut mask = Mask::empty(self.width, self.height);
-        for (i, (&p, m)) in frame.pixels().iter().zip(self.mean.iter()).enumerate() {
-            if (p as f64 - m).abs() > self.threshold {
-                mask.as_mut_slice()[i] = true;
-            }
-        }
-        mask.majority_filter(4)
-    }
-
-    /// Current background estimate as a frame.
-    pub fn background(&self) -> GrayFrame {
-        let mut f = GrayFrame::black(self.width, self.height);
-        for (i, &m) in self.mean.iter().enumerate() {
-            f.pixels_mut()[i] = m.clamp(0.0, 255.0) as u8;
-        }
-        f
+        Subtraction { mask, background }
     }
 }
 
@@ -95,6 +92,11 @@ mod tests {
 
     fn flat(v: u8) -> GrayFrame {
         GrayFrame::filled(32, 32, v)
+    }
+
+    /// The despeckled mask the pipeline segments.
+    fn step(bg: &mut BackgroundModel, f: &GrayFrame) -> Mask {
+        bg.subtract_and_update(f).mask.majority_filter(4)
     }
 
     fn with_block(base: u8, block: u8) -> GrayFrame {
@@ -110,14 +112,14 @@ mod tests {
     #[test]
     fn clean_background_yields_empty_mask() {
         let mut bg = BackgroundModel::from_frame(&flat(90));
-        let m = bg.subtract_and_update(&flat(91));
+        let m = step(&mut bg, &flat(91));
         assert_eq!(m.count(), 0);
     }
 
     #[test]
     fn bright_block_detected() {
         let mut bg = BackgroundModel::from_frame(&flat(90));
-        let m = bg.subtract_and_update(&with_block(90, 180));
+        let m = step(&mut bg, &with_block(90, 180));
         // 16x10 block = 160 px, majority filter trims the border.
         assert!(m.count() > 100, "count = {}", m.count());
         assert!(m.get(16, 15));
@@ -127,7 +129,7 @@ mod tests {
     #[test]
     fn dark_block_also_detected() {
         let mut bg = BackgroundModel::from_frame(&flat(120));
-        let m = bg.subtract_and_update(&with_block(120, 20));
+        let m = step(&mut bg, &with_block(120, 20));
         assert!(m.count() > 100);
     }
 
@@ -136,7 +138,7 @@ mod tests {
         let mut bg = BackgroundModel::from_frame(&flat(90));
         // Drift the scene brightness upward slowly.
         for v in 90..130u8 {
-            let m = bg.subtract_and_update(&flat(v));
+            let m = step(&mut bg, &flat(v));
             assert_eq!(m.count(), 0, "false positives at {v}");
         }
     }
@@ -148,7 +150,7 @@ mod tests {
         // A stopped vehicle should stay detected for at least ~100
         // frames (longer than any incident window).
         for i in 0..100 {
-            let m = bg.subtract_and_update(&f);
+            let m = step(&mut bg, &f);
             assert!(m.count() > 50, "lost object at frame {i}");
         }
     }
@@ -162,7 +164,7 @@ mod tests {
         let f = with_block(90, 180);
         let mut frames_to_fade = None;
         for i in 0..5000 {
-            let m = bg.subtract_and_update(&f);
+            let m = step(&mut bg, &f);
             if m.count() == 0 {
                 frames_to_fade = Some(i);
                 break;
@@ -177,16 +179,24 @@ mod tests {
         let mut bg = BackgroundModel::from_frame(&flat(0));
         let frames: Vec<GrayFrame> = (0..100).map(|_| flat(90)).collect();
         bg.learn(&frames);
-        let est = bg.background();
+        let est = bg.subtract_and_update(&flat(90)).background;
         assert!((est.mean() - 90.0).abs() < 2.0, "mean = {}", est.mean());
     }
 
     #[test]
-    fn subtract_without_update_is_pure() {
-        let bg = BackgroundModel::from_frame(&flat(90));
-        let m1 = bg.subtract(&with_block(90, 180));
-        let m2 = bg.subtract(&with_block(90, 180));
-        assert_eq!(m1, m2);
-        assert!(m1.count() > 0);
+    fn estimate_is_the_model_before_the_update() {
+        let mut bg = BackgroundModel::from_frame(&flat(90));
+        let first = bg.subtract_and_update(&flat(190));
+        assert_eq!(first.background, flat(90));
+        assert_eq!(first.mask.count(), 32 * 32, "raw mask, every pixel");
+        // Foreground pixels adapt at alpha/20, a quarter of a gray
+        // level per frame here: the next estimate still reads 90, and
+        // only hundreds of frames later does the update show.
+        let second = bg.subtract_and_update(&flat(190));
+        assert_eq!(second.background, flat(90));
+        for _ in 0..400 {
+            bg.subtract_and_update(&flat(190));
+        }
+        assert!(bg.subtract_and_update(&flat(190)).background.get(0, 0) > 90);
     }
 }

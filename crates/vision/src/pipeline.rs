@@ -1,13 +1,14 @@
 //! End-to-end vision pipeline: simulator observations → synthetic frames
-//! → background subtraction → SPCPE refinement → blobs → tracks.
+//! → background subtraction → despeckling → SPCPE refinement → blobs →
+//! tracks.
 //!
 //! This is the programmatic equivalent of the paper's "semantic object
 //! tracking" stage (§3): everything downstream (trajectory modeling,
 //! event features, MIL retrieval) consumes the [`Track`]s produced here.
 
-use crate::background::BackgroundModel;
+use crate::background::{BackgroundModel, Subtraction};
 use crate::blob::{extract_blobs, Blob};
-use crate::frame::{GrayFrame, Mask};
+use crate::frame::GrayFrame;
 use crate::render::Renderer;
 use crate::spcpe;
 use crate::tracker::{Tracker, TrackerConfig};
@@ -79,13 +80,16 @@ pub fn process(sim: &SimOutput, kind: ScenarioKind, cfg: &PipelineConfig) -> Vis
     let mut detections_per_frame = Vec::with_capacity(sim.frames.len());
 
     // Frames are processed in bounded chunks so the pure per-frame
-    // stages (rendering, SPCPE refinement, blob extraction) can fan out
-    // on the [`tsvr_par`] runtime, while the two order-sensitive stages
-    // — the running background update and the tracker — consume frames
-    // in exact clip order. Every stage computes the same values as the
-    // plain sequential loop did, so the output is bit-identical
-    // regardless of the thread count; the chunk bound keeps at most a
-    // few dozen decoded frames in flight.
+    // stages (rendering, despeckling, SPCPE refinement, blob
+    // extraction) can fan out on the [`tsvr_par`] runtime, while the
+    // two order-sensitive stages — the running background update and
+    // the tracker — consume frames in exact clip order. The model
+    // learns from the raw threshold mask, so the sequential update is
+    // one pass per frame and everything derived from its outputs runs
+    // in parallel. Every stage computes the same values as the plain
+    // sequential loop did, so the output is bit-identical regardless of
+    // the thread count; the chunk bound keeps at most a few dozen
+    // decoded frames in flight.
     let chunk_len = tsvr_par::current_threads().max(1) * 4;
     for obs_chunk in sim.frames.chunks(chunk_len) {
         // Parallel, pure: synthesize the chunk's frames.
@@ -93,28 +97,27 @@ pub fn process(sim: &SimOutput, kind: ScenarioKind, cfg: &PipelineConfig) -> Vis
             renderer.render(&obs.vehicles, obs.frame)
         });
 
-        // Sequential, stateful: background estimate + model update in
-        // clip order (each update feeds the next frame's estimate).
-        let masks: Vec<(Option<GrayFrame>, Mask)> = frames
+        // Sequential, stateful: classify against the model and update
+        // it in clip order (each update feeds the next frame).
+        let subtractions: Vec<Subtraction> = frames
             .iter()
             .map(|frame| {
-                let bg_est = cfg.use_spcpe.then(|| bg.background());
-                (bg_est, bg.subtract_and_update(frame))
+                let _span = tsvr_obs::span!("vision.background");
+                bg.subtract_and_update(frame)
             })
             .collect();
 
-        // Parallel, pure: SPCPE refinement and blob extraction.
+        // Parallel, pure: despeckling, SPCPE refinement and blob
+        // extraction.
         let chunk_blobs: Vec<Vec<Blob>> = tsvr_par::par_map_index(frames.len(), |i| {
             let _span = tsvr_obs::span!("vision.segment");
             let frame = &frames[i];
-            let (bg_est, mask0) = &masks[i];
-            let mask = match bg_est {
-                Some(bg_est) => {
-                    let diff = frame.abs_diff(bg_est);
-                    spcpe::refine(&diff, mask0).mask.majority_filter(4)
-                }
-                None => mask0.clone(),
-            };
+            let Subtraction { mask, background } = &subtractions[i];
+            let mut mask = mask.majority_filter(4);
+            if cfg.use_spcpe {
+                let diff = frame.abs_diff(background);
+                mask = spcpe::refine(&diff, &mask).mask.majority_filter(4);
+            }
             extract_blobs(&mask, cfg.min_blob_area, Some(frame))
         });
 
