@@ -341,8 +341,15 @@ fn precision_degrades_monotonically_in_expectation_under_label_noise() {
     // than the page, so rank both fleet clips together: the pedestrian
     // clip's windows are pure distractors for the wrong-way query.
     let (a, b) = fleet_clips();
+    // Bag ids are dense pool indices (the feedback key), so the second
+    // clip's windows continue after the first's, as
+    // `MultiClipIndex::from_parts` numbers them.
     let mut bags = a.bags.clone();
-    bags.extend(b.bags.iter().cloned());
+    bags.extend(
+        b.bags
+            .iter()
+            .map(|bag| Bag::new(a.bags.len() + bag.id, bag.instances.clone())),
+    );
     let mut labels = a.labels(&EventQuery::for_kind(tsvr::sim::IncidentKind::WrongWay));
     labels.extend(std::iter::repeat_n(false, b.bags.len()));
     assert!(bags.len() > 20, "pool must exceed the page size");
